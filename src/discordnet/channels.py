@@ -62,6 +62,25 @@ class MeasurementBasis:
         return basis_vectors(theta, phi)
 
 
+def _check_unitary(u: np.ndarray) -> None:
+    defect = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+    if defect > 1e-10:
+        raise ChannelError(f"matrix is not unitary (defect {defect:.3e})")
+
+
+def _controlled(applied: np.ndarray) -> np.ndarray:
+    u = np.zeros((4, 4), dtype=np.complex128)
+    u[:2, :2] = _I2
+    u[2:, 2:] = applied
+    _check_unitary(u)
+    u.setflags(write=False)
+    return u
+
+
+# Built and checked once; apply_gate trusts them.
+_CONTROLLED = {"cz": _controlled(_Z), "ch": _controlled(_H)}
+
+
 @dataclass(frozen=True)
 class GateSpec:
     """Controlled-Z / controlled-Hadamard / arbitrary local unitary."""
@@ -72,26 +91,47 @@ class GateSpec:
     matrix: np.ndarray | None = field(default=None)
 
     def two_qubit_matrix(self) -> np.ndarray:
-        if self.kind == "cz":
-            applied = _Z
-        elif self.kind == "ch":
-            applied = _H
-        else:
-            raise ChannelError(f"gate kind {self.kind!r} is not a controlled gate")
-        u = np.zeros((4, 4), dtype=np.complex128)
-        u[:2, :2] = _I2
-        u[2:, 2:] = applied
-        return u
+        try:
+            return _CONTROLLED[self.kind]
+        except KeyError:
+            raise ChannelError(f"gate kind {self.kind!r} is not a controlled gate") from None
 
 
-def _apply_matrix_rows(tensor: np.ndarray, u: np.ndarray, axes: Sequence[int], n: int) -> np.ndarray:
+def _diagonal(u: np.ndarray) -> np.ndarray | None:
+    """The diagonal of u when every off-diagonal entry is zero, else None."""
+    diag = np.diagonal(u)
+    return diag if np.count_nonzero(u) == np.count_nonzero(diag) else None
+
+
+def _apply_matrix_rows(tensor: np.ndarray, u: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """Apply u to the given row axes of a rank-2n state tensor."""
     k = len(axes)
     moved = np.moveaxis(tensor, axes, range(k))
-    shape = moved.shape
-    flat = moved.reshape(2**k, -1)
-    flat = u @ flat
-    return np.moveaxis(flat.reshape(shape), range(k), axes)
+    flat = u @ moved.reshape(2**k, -1)
+    return np.moveaxis(flat.reshape(moved.shape), range(k), axes)
+
+
+def _conjugate_by(rho: DensityMatrix, u: np.ndarray, labels: Sequence[str]) -> np.ndarray:
+    """U rho U^dag as a rank-2n tensor, with u embedded at the named labels.
+
+    A diagonal u only rescales entries: U rho U^dag = rho * (d d^dag) on the
+    touched row and column axes, applied as one broadcast product.  Any other
+    u goes through a matmul on each side.
+    """
+    n = rho.n_qubits
+    axes = [rho.axis(lab) for lab in labels]
+    t = rho.tensor_view()
+    diag = _diagonal(u)
+    if diag is None:
+        t = _apply_matrix_rows(t, u, axes)
+        return _apply_matrix_rows(t, u.conj(), [a + n for a in axes])
+    both = axes + [a + n for a in axes]
+    shape = [1] * (2 * n)
+    for a in both:
+        shape[a] = 2
+    factor = np.multiply.outer(diag, diag.conj()).reshape((2,) * len(both))
+    order = sorted(range(len(both)), key=both.__getitem__)
+    return t * factor.transpose(order).reshape(shape)
 
 
 def apply_unitary(rho: DensityMatrix, u: np.ndarray, labels: Sequence[str]) -> DensityMatrix:
@@ -100,15 +140,8 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray, labels: Sequence[str]) -> D
     k = len(labels)
     if u.shape != (2**k, 2**k):
         raise ChannelError(f"unitary shape {u.shape} does not fit {k} qubits")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(2**k))))
-    if defect > 1e-10:
-        raise ChannelError(f"matrix is not unitary (defect {defect:.3e})")
-    n = rho.n_qubits
-    axes = [rho.axis(lab) for lab in labels]
-    t = rho.tensor_view()
-    t = _apply_matrix_rows(t, u, axes, n)
-    t = _apply_matrix_rows(t, u.conj(), [a + n for a in axes], n)
-    return DensityMatrix(rho.labels, t.reshape(2**n, 2**n))
+    _check_unitary(u)
+    return DensityMatrix(rho.labels, _conjugate_by(rho, u, labels).reshape(rho.matrix.shape))
 
 
 def apply_gate(rho: DensityMatrix, gate: GateSpec) -> DensityMatrix:
@@ -118,7 +151,8 @@ def apply_gate(rho: DensityMatrix, gate: GateSpec) -> DensityMatrix:
         return apply_unitary(rho, gate.matrix, [gate.target])
     if gate.control is None or gate.control == gate.target:
         raise ChannelError("controlled gate needs distinct control and target labels")
-    return apply_unitary(rho, gate.two_qubit_matrix(), [gate.control, gate.target])
+    t = _conjugate_by(rho, gate.two_qubit_matrix(), [gate.control, gate.target])
+    return DensityMatrix(rho.labels, t.reshape(rho.matrix.shape))
 
 
 @dataclass(frozen=True)
@@ -177,15 +211,8 @@ def correlated_dephasing(p: float, mu: float, labels: Sequence[str] = ("M1", "M2
 
 
 def apply_kraus(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
-    n = rho.n_qubits
-    axes = [rho.axis(lab) for lab in ch.labels]
-    t = rho.tensor_view()
-    out = np.zeros_like(t)
-    for k in ch.operators:
-        term = _apply_matrix_rows(t, k, axes, n)
-        term = _apply_matrix_rows(term, k.conj(), [a + n for a in axes], n)
-        out = out + term
-    return DensityMatrix(rho.labels, out.reshape(2**n, 2**n))
+    out = sum(_conjugate_by(rho, k, ch.labels) for k in ch.operators)
+    return DensityMatrix(rho.labels, out.reshape(rho.matrix.shape))
 
 
 def measure_project(
@@ -209,19 +236,28 @@ def measure_project(
         raise ChannelError("measuring every label would leave an empty state")
 
     n = rho.n_qubits
+    # Contract <v| into each measured row axis and |v> into its column axis,
+    # one label at a time in basis order, each as a matmul over that axis.  This
+    # is the order numpy's optimized einsum picks for this product, so results
+    # are bit-identical to it.  That matters: ties between mirror-image optima
+    # downstream (symmetric_theta_max) are broken by last-bit rounding.
     t = rho.tensor_view()
-    # Contract <v| rho |v> over each measured label in a single einsum.
-    row_idx = list(range(n))
-    col_idx = list(range(n, 2 * n))
-    out_idx = [rho.axis(lab) for lab in remaining] + [rho.axis(lab) + n for lab in remaining]
-    args: list = [t, row_idx + col_idx]
+    ids = list(range(2 * n))  # original axis of each remaining axis of t
+    first = True
     for lab, bit in zip(measured, outcomes):
         v = basis.vectors(lab)[int(bit)]
-        args += [v.conj(), [rho.axis(lab)], v, [rho.axis(lab) + n]]
-    args.append(out_idx)
-    reduced = np.einsum(*args, optimize=True)
+        for axis, vec in ((rho.axis(lab), v.conj()), (rho.axis(lab) + n, v)):
+            ax = ids.index(axis)
+            ids.pop(ax)
+            rest = [a for a in range(t.ndim) if a != ax]
+            if first:
+                t = vec.reshape(1, 2) @ t.transpose([ax, *rest]).reshape(2, -1)
+                first = False
+            else:
+                t = t.transpose([*rest, ax]).reshape(-1, 2) @ vec.reshape(2, 1)
+            t = t.reshape((2,) * len(ids))
     d = 2 ** len(remaining)
-    reduced = reduced.reshape(d, d)
+    reduced = t.reshape(d, d)
     prob = float(np.real(np.trace(reduced)))
     if prob < ZERO_PROBABILITY_TOL:
         raise ZeroProbabilityError(

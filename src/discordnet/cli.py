@@ -165,6 +165,14 @@ def _iter_parsers(parser: argparse.ArgumentParser):
                     yield from _iter_parsers(sub)
 
 
+def _config_path(argv: Sequence[str]) -> str | None:
+    """The --config value wherever it appears in argv, read the way the main
+    parser reads it: ``--config PATH``, ``--config=PATH`` or an abbreviation."""
+    pre = _Parser(prog="discordnet", add_help=False)
+    pre.add_argument("--config")
+    return pre.parse_known_args(argv)[0].config
+
+
 def _apply_config_defaults(parser: argparse.ArgumentParser, values: Mapping[str, Any]) -> None:
     """Install config-file values as defaults on every (sub)parser.
 
@@ -432,10 +440,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         # Config-file values act as defaults; explicit flags override them.
-        if "--config" in argv:
-            cfg_path = argv[argv.index("--config") + 1]
-            file_values = _parse_config_file(cfg_path)
-            _apply_config_defaults(parser, file_values)
+        cfg_path = _config_path(argv)
+        if cfg_path is not None:
+            _apply_config_defaults(parser, _parse_config_file(cfg_path))
         args = parser.parse_args(argv)
         args.seed = int(args.seed)
         if args.threads is None:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .linalg import EIGENVALUE_FLOOR
-from .states import DensityMatrix, StateError, partial_trace
+from .states import DensityMatrix, StateError, fold_bloch, partial_trace
 
 # Correlation values in (-NEGATIVE_CLAMP, 0) are reported as exactly 0.
 NEGATIVE_CLAMP = 1e-9
@@ -186,16 +186,6 @@ def _resolve_budget(budget: str | Budget) -> Budget:
         raise ValueError(f"unknown budget {budget!r}; use 'full' or 'fast'") from None
 
 
-def _normalize_angles(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fold free-running optimizer angles back into theta in [0,pi], phi in [0,2pi)."""
-    thetas = np.mod(x[:n], 2 * math.pi)
-    phis = np.mod(x[n:], 2 * math.pi)
-    flip = thetas > math.pi
-    thetas = np.where(flip, 2 * math.pi - thetas, thetas)
-    phis = np.mod(np.where(flip, phis + math.pi, phis), 2 * math.pi)
-    return thetas, phis
-
-
 def _refine(objective_point, x0: np.ndarray, budget: Budget):
     res = minimize(
         objective_point,
@@ -324,7 +314,7 @@ def gqd_min(
             best_val = float(res.fun)
             best_x = np.asarray(res.x)
 
-    thetas, phis = _normalize_angles(best_x, n)
+    thetas, phis = fold_bloch(best_x[:n], best_x[n:])
     basis = {lab: (float(t), float(p)) for lab, t, p in zip(rho.labels, thetas, phis)}
     return DiscordResult(
         value=max(best_val, 0.0),
@@ -394,7 +384,7 @@ def conditional_entropy_min(
         ok = ok and bool(res.success)
         if res.fun < best_val:
             best_val, best_x = float(res.fun), np.asarray(res.x)
-    thetas, phis = _normalize_angles(np.array([best_x[0], best_x[1]]), 1)
+    thetas, phis = fold_bloch(best_x[:1], best_x[1:2])
     return best_val, (float(thetas[0]), float(phis[0])), obj.evaluations, ok
 
 

@@ -20,7 +20,7 @@ from scipy.optimize import curve_fit, minimize, minimize_scalar
 from . import correlations, protocol, search, states
 from .channels import correlated_dephasing
 from .correlations import Budget, FAST_BUDGET, FULL_BUDGET, discord_asym, entropy, gqd, gqd_min
-from .states import DensityMatrix, fidelity, partial_trace
+from .states import DensityMatrix, fidelity, fold_bloch, partial_trace
 
 # Reduced basis-search budget used while an outer angle search is running;
 # the final reported optimum is always re-evaluated at the full budget.
@@ -616,6 +616,22 @@ def ghz_study(
 # ---------------------------------------------------------------------------
 
 
+def _folded(x: np.ndarray) -> np.ndarray:
+    """Carrier angles [t1, t2, p1, p2] folded into their Bloch ranges.
+
+    The outer searches run unbounded, so they may step outside [0, pi] x
+    [0, 2pi); the fold maps each step to the same measurement.
+    """
+    return np.concatenate(fold_bloch(x[:2], x[2:]))
+
+
+def _noisy_output(x: np.ndarray, noise) -> DensityMatrix:
+    """Memory output of the two-pair protocol at carrier angles x under noise."""
+    x = _folded(x)
+    cfg = protocol.standard_config(thetas=x[:2], phis=x[2:], memory_noise=noise)
+    return protocol.run_circuit(cfg).final_state
+
+
 def noisy_max(
     p: float,
     mu: float = 1.0,
@@ -634,14 +650,8 @@ def noisy_max(
     """
     noise = correlated_dephasing(p, mu) if p > 0 else None
 
-    def run(x: np.ndarray) -> DensityMatrix:
-        cfg = protocol.standard_config(
-            thetas=[x[0], x[1]], phis=[x[2], x[3]], memory_noise=noise
-        )
-        return protocol.run_circuit(cfg).final_state
-
     def obj(x: np.ndarray, budget: Budget) -> float:
-        return gqd_min(run(x), budget=budget, seed=seed).value
+        return gqd_min(_noisy_output(x, noise), budget=budget, seed=seed).value
 
     spec = search.SearchSpec(
         objective=lambda x: obj(x, inner),
@@ -656,8 +666,8 @@ def noisy_max(
         symmetry_groups=((0, 1), (2, 3)),
         seed=seed,
     )
-    res = search.optimize(spec)
-    return res.argopt, obj(res.argopt, final)
+    best = _folded(search.optimize(spec).argopt)
+    return best, obj(best, final)
 
 
 def best_fidelity_state(
@@ -670,15 +680,8 @@ def best_fidelity_state(
     """Carrier angles maximizing fidelity of the noisy protocol output with a
     target two-qubit state; returns (angles, fidelity, state)."""
     noise = correlated_dephasing(p, mu) if p > 0 else None
-
-    def run(x: np.ndarray) -> DensityMatrix:
-        cfg = protocol.standard_config(
-            thetas=[x[0], x[1]], phis=[x[2], x[3]], memory_noise=noise
-        )
-        return protocol.run_circuit(cfg).final_state
-
     spec = search.SearchSpec(
-        objective=lambda x: fidelity(run(x), target),
+        objective=lambda x: fidelity(_noisy_output(x, noise), target),
         dimension=4,
         bounds=((0.0, math.pi),) * 2 + ((0.0, 2 * math.pi),) * 2,
         grid_resolution=grid,
@@ -691,7 +694,8 @@ def best_fidelity_state(
         seed=seed,
     )
     res = search.optimize(spec)
-    return res.argopt, res.value, run(res.argopt)
+    best = _folded(res.argopt)
+    return best, res.value, _noisy_output(best, noise)
 
 
 def best_tau_target(

@@ -11,6 +11,7 @@ M_i is traced out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -38,6 +39,12 @@ KET_PLUS = states.KET_PLUS
 KET_MINUS = states.KET_MINUS
 
 
+# Default registers, built once per n: DensityMatrix is frozen and its matrix
+# read-only, so every run can share them.
+_default_carriers = functools.lru_cache(maxsize=None)(states.classical_carriers)
+_default_memories = functools.lru_cache(maxsize=None)(states.plus_memories)
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Complete specification of one protocol run."""
@@ -49,13 +56,13 @@ class ProtocolConfig:
     gate_kind: str = "cz"
     carrier_angles: Mapping[int, tuple[float, float]] = field(default_factory=dict)
     outcome: tuple[int, ...] | str = "zeros"  # bits, "zeros" or "all"
-    memory_noise: KrausChannel | None = None
+    memory_noise: KrausChannel | None = None  # acts on memory labels only
 
     def resolved(self) -> "ProtocolConfig":
         if self.n < 1:
             raise StateError("protocol needs n >= 1")
-        carriers = self.carriers if self.carriers is not None else states.classical_carriers(self.n)
-        memories = self.memories if self.memories is not None else states.plus_memories(self.n)
+        carriers = self.carriers if self.carriers is not None else _default_carriers(self.n)
+        memories = self.memories if self.memories is not None else _default_memories(self.n)
         interactions = (
             tuple(sorted(self.interactions))
             if self.interactions is not None
@@ -85,9 +92,11 @@ class ProtocolOutcome:
 def run_circuit(cfg: ProtocolConfig) -> ProtocolOutcome | list[ProtocolOutcome]:
     """Execute the protocol circuit; returns all branches when outcome='all'."""
     cfg = cfg.resolved()
-    joint = tensor([cfg.carriers, cfg.memories])
+    memories = cfg.memories
     if cfg.memory_noise is not None:
-        joint = apply_kraus(joint, cfg.memory_noise)
+        # (I (x) E)(rho_C (x) rho_M) = rho_C (x) E(rho_M): noise the small register.
+        memories = apply_kraus(memories, cfg.memory_noise)
+    joint = tensor([cfg.carriers, memories])
     for i in cfg.interactions:
         joint = apply_gate(joint, GateSpec(kind=cfg.gate_kind, control=f"C{i}", target=f"M{i}"))
     basis = MeasurementBasis({f"C{i}": cfg.carrier_angles[i] for i in cfg.interactions})

@@ -76,7 +76,7 @@ class DensityMatrix:
         d = 2 ** len(self.labels)
         if m.shape != (d, d):
             raise StateError(f"matrix shape {m.shape} does not match {len(self.labels)} qubits")
-        tr = np.trace(m)
+        tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateError(f"trace {tr} deviates from 1 beyond {TRACE_TOL:.0e}")
         if linalg.hermiticity_defect(m) > linalg.HERMITICITY_TOL:
@@ -85,9 +85,14 @@ class DensityMatrix:
         # states can be larger, where the O(d^3) positivity check would
         # dominate the whole simulation.  Trace/Hermiticity still hold there.
         if d <= 64:
-            min_eig = float(np.linalg.eigvalsh(m)[0])
-            if min_eig < -PSD_TOL:
-                raise StateError(f"minimum eigenvalue {min_eig} below -{PSD_TOL:.0e}")
+            # m + PSD_TOL*I is positive definite exactly when every eigenvalue
+            # of m exceeds -PSD_TOL; a Cholesky factorization tests that at
+            # half the cost of the spectrum, computed only for the message.
+            try:
+                np.linalg.cholesky(m + PSD_TOL * np.eye(d))
+            except np.linalg.LinAlgError:
+                min_eig = float(np.linalg.eigvalsh(m)[0])
+                raise StateError(f"minimum eigenvalue {min_eig} below -{PSD_TOL:.0e}") from None
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -133,6 +138,21 @@ def _check_bloch_angles(theta: float, phi: float) -> None:
         raise StateError(f"phi {phi} outside [0, 2pi)")
 
 
+def fold_bloch(thetas, phis) -> tuple[np.ndarray, np.ndarray]:
+    """Fold free-running Bloch angles into theta in [0, pi], phi in [0, 2pi).
+
+    |v(theta, phi)> equals -|v(theta + 2pi, phi)> and -|v(2pi - theta, phi + pi)>,
+    and the orthogonal state changes by a phase as well, so the fold leaves every
+    measurement projector unchanged.  Angles already in range come back as they are.
+    """
+    thetas = np.mod(np.asarray(thetas, dtype=float), 2 * math.pi)
+    phis = np.mod(np.asarray(phis, dtype=float), 2 * math.pi)
+    flip = thetas > math.pi
+    thetas = np.where(flip, 2 * math.pi - thetas, thetas)
+    phis = np.mod(np.where(flip, phis + math.pi, phis), 2 * math.pi)
+    return thetas, phis
+
+
 def tensor(states: Sequence[DensityMatrix]) -> DensityMatrix:
     """Kronecker-assemble a joint state; labels are concatenated in order."""
     if not states:
@@ -142,7 +162,9 @@ def tensor(states: Sequence[DensityMatrix]) -> DensityMatrix:
         labels.extend(s.labels)
     m = states[0].matrix
     for s in states[1:]:
-        m = np.kron(m, s.matrix)
+        b = s.matrix
+        # np.kron(m, b) as one broadcast product
+        m = (m[:, None, :, None] * b[None, :, None, :]).reshape(len(m) * len(b), -1)
     return DensityMatrix(tuple(labels), m)
 
 
@@ -154,17 +176,18 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
         raise StateError(f"unknown labels in keep set: {sorted(unknown)}")
     if not keep:
         raise StateError("keep set must be nonempty")
-    kept = [lab for lab in rho.labels if lab in keep]
+    if len(keep) == rho.n_qubits:
+        return rho
     n = rho.n_qubits
-    t = rho.tensor_view()
-    # Contract discarded row/column axis pairs in one einsum.
-    row_idx = list(range(n))
-    col_idx = [i + n if rho.labels[i] in keep else i for i in range(n)]
-    out_idx = [i for i in range(n) if rho.labels[i] in keep]
-    out_idx += [i + n for i in range(n) if rho.labels[i] in keep]
-    reduced = np.einsum(t, row_idx + col_idx, out_idx, optimize=True)
-    d = 2 ** len(kept)
-    return DensityMatrix(tuple(kept), reduced.reshape(d, d))
+    kept = [i for i, lab in enumerate(rho.labels) if lab in keep]
+    traced = [i for i, lab in enumerate(rho.labels) if lab not in keep]
+    # Group the axes as (kept rows, traced rows, kept cols, traced cols) and sum
+    # the diagonal of the traced pair.
+    order = kept + traced + [i + n for i in kept] + [i + n for i in traced]
+    d, dt = 2 ** len(kept), 2 ** len(traced)
+    t = rho.tensor_view().transpose(order).reshape(d, dt, d, dt)
+    reduced = np.trace(t, axis1=1, axis2=3)
+    return DensityMatrix(tuple(rho.labels[i] for i in kept), reduced)
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -103,6 +103,28 @@ def test_config_file_unknown_key_exits_1(tmp_path, capsys):
     assert "unknown config keys" in err
 
 
+def test_config_flag_without_value_exits_1(tmp_path, capsys):
+    for argv in (["gqd", "--state", "w", "--config"], ["--config"]):
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "--config" in err and "expected one argument" in err
+        assert "Traceback" not in err
+
+
+def test_config_equals_form_is_honored(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("state = w\nn = 3\ninner-budget = fast\n", encoding="utf-8")
+    for argv in ([f"--config={cfg}", "gqd"], ["gqd", f"--config={cfg}"]):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert abs(float(out.split("=")[1]) - math.log2(3)) < 1e-6
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("volume = 11\n", encoding="utf-8")
+    code, _, err = run([f"--config={bad}", "gqd", "--state", "w"], capsys)
+    assert code == 1
+    assert "unknown config keys" in err
+
+
 def test_missing_config_file_exits_1(capsys):
     code, _, _ = run(["--config", "/nonexistent.cfg", "gqd", "--state", "w"], capsys)
     assert code == 1

@@ -126,3 +126,16 @@ def test_scaling_fits_require_enough_points():
     rows = [ex.ScalingRow(2, 0.9, 0.22, 0, 0, 1, 1), ex.ScalingRow(3, 0.9, 0.47, 0, 0, 1, 1)]
     with pytest.raises(ValueError):
         ex.scaling_fits(rows)
+
+
+def test_best_fidelity_state_folds_carrier_angles():
+    # The unbounded search leaves [0, pi] here; folding keeps every step valid.
+    target = states.bell_mixture(0.6)
+    angles, fid, rho = ex.best_fidelity_state(0.0, target)
+    assert abs(fid - 0.746410) < 1e-6
+    assert np.all((0 <= angles[:2]) & (angles[:2] <= math.pi))
+    assert np.all((0 <= angles[2:]) & (angles[2:] < 2 * math.pi))
+    cfg = ex.protocol.standard_config(thetas=angles[:2], phis=angles[2:])
+    again = states.fidelity(ex.protocol.run_circuit(cfg).final_state, target)
+    assert abs(again - fid) < 1e-9
+    assert abs(states.fidelity(rho, target) - fid) < 1e-9

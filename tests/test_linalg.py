@@ -11,13 +11,6 @@ def random_hermitian(rng, d):
     return (a + a.conj().T) / 2
 
 
-def test_dagger_and_kron():
-    a = np.array([[1, 2j], [3, 4]], dtype=complex)
-    assert np.allclose(linalg.dagger(a), a.conj().T)
-    b = np.eye(2)
-    assert np.allclose(linalg.kron(a, b), np.kron(a, b))
-
-
 def test_hermiticity_defect_zero_for_hermitian(rng):
     h = random_hermitian(rng, 8)
     assert linalg.hermiticity_defect(h) < 1e-14

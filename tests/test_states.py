@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from discordnet import states
+from discordnet import linalg, states
 from discordnet.states import (
     DensityMatrix,
     PureState,
@@ -36,6 +36,46 @@ def test_density_matrix_validation():
         DensityMatrix(("A",), np.array([[0.7, 0.0], [0.0, 0.7]]))  # trace != 1
     with pytest.raises(StateError):
         DensityMatrix(("A",), np.array([[1.5, 0.0], [0.0, -0.5]]))  # not PSD
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_density_matrix_rejects_bad_input_at_every_checked_size(n):
+    labels = tuple(f"Q{i}" for i in range(n))
+    d = 2**n
+    good = np.eye(d) / d
+    DensityMatrix(labels, good)
+    nan = good.copy()
+    nan[0, d - 1] = np.nan
+    with pytest.raises(linalg.LinalgError):
+        DensityMatrix(labels, nan)
+    skew = good.astype(complex)
+    skew[d - 1, 0] = 1e-6j
+    with pytest.raises(StateError, match="Hermitian"):
+        DensityMatrix(labels, skew)
+    with pytest.raises(StateError, match="trace"):
+        DensityMatrix(labels, 2 * good)
+    # the positivity check covers every register up to 64 dimensions
+    negative = np.diag(np.r_[1.5, -0.5, np.zeros(d - 2)]) if d > 2 else np.diag([1.5, -0.5])
+    with pytest.raises(StateError, match="eigenvalue"):
+        DensityMatrix(labels, negative)
+
+
+def test_fold_bloch_maps_into_range_and_keeps_projectors(rng):
+    thetas = np.r_[rng.uniform(-7, 13, size=40), 0.0, math.pi, -1e-17]
+    phis = np.r_[rng.uniform(-9, 15, size=40), 0.0, 2 * math.pi - 1e-9, -1e-17]
+    ft, fp = states.fold_bloch(thetas, phis)
+    assert np.all((0 <= ft) & (ft <= math.pi)) and np.all((0 <= fp) & (fp <= 2 * math.pi))
+    for t, p, t2, p2 in zip(thetas, phis, ft, fp):
+        for a, b in zip(_bloch_pair(t, p), _bloch_pair(t2, p2)):
+            assert np.allclose(np.outer(a, a.conj()), np.outer(b, b.conj()), atol=1e-12)
+    inside_t, inside_p = rng.uniform(0, math.pi, 10), rng.uniform(0, 2 * math.pi, 10)
+    same_t, same_p = states.fold_bloch(inside_t, inside_p)
+    assert np.array_equal(same_t, inside_t) and np.array_equal(same_p, inside_p)
+
+
+def _bloch_pair(theta, phi):
+    c, s, e = math.cos(theta / 2), math.sin(theta / 2), np.exp(1j * phi)
+    return np.array([c, e * s]), np.array([s, -e * c])
 
 
 def test_pure_state_density_consistency():
