@@ -239,8 +239,10 @@ def measure_project(
     # Contract <v| into each measured row axis and |v> into its column axis,
     # one label at a time in basis order, each as a matmul over that axis.  This
     # is the order numpy's optimized einsum picks for this product, so results
-    # are bit-identical to it.  That matters: ties between mirror-image optima
-    # downstream (symmetric_theta_max) are broken by last-bit rounding.
+    # are bit-identical to it (tests/test_kernels.py checks this).  That
+    # matters: ties between mirror-image optima downstream
+    # (symmetric_theta_max) are broken by last-bit rounding.  It skips
+    # einsum's per-call parsing and path search.
     t = rho.tensor_view()
     ids = list(range(2 * n))  # original axis of each remaining axis of t
     first = True

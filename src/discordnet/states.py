@@ -85,14 +85,15 @@ class DensityMatrix:
         # states can be larger, where the O(d^3) positivity check would
         # dominate the whole simulation.  Trace/Hermiticity still hold there.
         if d <= 64:
-            # m + PSD_TOL*I is positive definite exactly when every eigenvalue
-            # of m exceeds -PSD_TOL; a Cholesky factorization tests that at
-            # half the cost of the spectrum, computed only for the message.
+            # A Cholesky factor of m + PSD_TOL*I exists when every eigenvalue
+            # of m exceeds -PSD_TOL, at half the cost of the spectrum.  When it
+            # fails the spectrum decides, so the acceptance rule stays exact.
             try:
                 np.linalg.cholesky(m + PSD_TOL * np.eye(d))
             except np.linalg.LinAlgError:
                 min_eig = float(np.linalg.eigvalsh(m)[0])
-                raise StateError(f"minimum eigenvalue {min_eig} below -{PSD_TOL:.0e}") from None
+                if min_eig < -PSD_TOL:
+                    raise StateError(f"minimum eigenvalue {min_eig} below -{PSD_TOL:.0e}") from None
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -169,6 +169,39 @@ def test_measure_project_matches_dense(rng, n):
     assert np.allclose(state.matrix, want / np.trace(want), atol=1e-10)
 
 
+def optimized_einsum_projection(rho, basis, bits) -> np.ndarray:
+    """<v| rho |v> over the measured labels by one ``optimize=True`` einsum."""
+    n = rho.n_qubits
+    remaining = [lab for lab in rho.labels if lab not in basis.labels]
+    args: list = [rho.tensor_view(), list(range(2 * n))]
+    for lab, bit in zip(basis.labels, bits):
+        v = basis.vectors(lab)[bit]
+        args += [v.conj(), [rho.axis(lab)], v, [rho.axis(lab) + n]]
+    args.append([rho.axis(lab) for lab in remaining] + [rho.axis(lab) + n for lab in remaining])
+    d = 2 ** len(remaining)
+    return np.einsum(*args, optimize=True).reshape(d, d)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+def test_measure_project_is_bit_identical_to_optimized_einsum(rng, n):
+    # symmetric_theta_max breaks mirror ties by last-bit rounding, so the
+    # contraction order, not only the value, has to stay einsum's
+    d = 2**n
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = a @ a.conj().T
+    rho = DensityMatrix(tuple(f"q{i}" for i in range(n)), m / np.trace(m))
+    for _ in range(6):
+        measured = [str(lab) for lab in rng.permutation(rho.labels)[: int(rng.integers(1, n))]]
+        basis = MeasurementBasis(
+            {lab: (float(rng.uniform(0, math.pi)), float(rng.uniform(0, 2 * math.pi))) for lab in measured}
+        )
+        bits = tuple(int(b) for b in rng.integers(0, 2, size=len(measured)))
+        reduced = optimized_einsum_projection(rho, basis, bits)
+        state, prob = measure_project(rho, basis, bits)
+        assert prob == float(np.real(np.trace(reduced)))
+        assert np.array_equal(state.matrix, reduced / prob)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_partial_trace_matches_dense(rng, n):
     rho = random_state(rng, n)

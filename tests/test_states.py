@@ -60,6 +60,13 @@ def test_density_matrix_rejects_bad_input_at_every_checked_size(n):
         DensityMatrix(labels, negative)
 
 
+def test_positivity_tolerance_is_inclusive():
+    # an eigenvalue of exactly -PSD_TOL is accepted, one below it is not
+    DensityMatrix(("A",), np.diag([1 + states.PSD_TOL, -states.PSD_TOL]))
+    with pytest.raises(StateError, match="eigenvalue"):
+        DensityMatrix(("A",), np.diag([1 + 2 * states.PSD_TOL, -2 * states.PSD_TOL]))
+
+
 def test_fold_bloch_maps_into_range_and_keeps_projectors(rng):
     thetas = np.r_[rng.uniform(-7, 13, size=40), 0.0, math.pi, -1e-17]
     phis = np.r_[rng.uniform(-9, 15, size=40), 0.0, 2 * math.pi - 1e-9, -1e-17]

@@ -3,11 +3,12 @@
 Usage, from the root of a checkout:
 
     python tools/bench_circuit.py --src DIR [--src DIR2 ...] [--label NAME ...]
-        [--rounds R] [--out BENCH_circuit.json]
+        [--out BENCH_circuit.json]
 
 Each ``--src`` is the root of a checkout whose ``src/discordnet`` is timed.
-Every round starts one fresh interpreter per checkout, in alternating order,
-so that a slow phase of the machine hits all checkouts alike.  A round times:
+Each of the ``ROUNDS`` rounds starts one fresh interpreter per checkout, in
+alternating order, so that a slow phase of the machine hits all checkouts
+alike.  A round times:
 
 - ``protocol.run_circuit`` at N = 2 with correlated dephasing (p = 0.5,
   mu = 1), at N = 3 and at N = 5 (ideal memories), many calls each;
@@ -15,9 +16,10 @@ so that a slow phase of the machine hits all checkouts alike.  A round times:
   that finish at every revision.
 
 The output file records, per checkout, the p50 of the per-call times over all
-rounds together with every sample, the checkout's commit (``+dirty`` when ``src/`` has uncommitted changes) and a sha256 of its
-``src/``; with two checkouts it also records the first-to-second ratio of
-each p50.  An ``env`` entry records the interpreter, libraries and machine.
+rounds together with every sample, the checkout's commit (``+dirty`` when
+``src/`` has uncommitted changes) and a sha256 of its ``src/``; with two
+checkouts it also records the first-to-second ratio of each p50.  An ``env``
+entry records the interpreter, libraries and machine.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-# (name, calls per round) of the circuit workloads, and the fidelity targets (p, x).
+# Rounds per run, (name, calls per round) of the circuit workloads, and the
+# fidelity targets (p, x); fixed so that every checkout is timed alike.
+ROUNDS = 5
 CIRCUITS = (("run_circuit_n2_dephasing", 200), ("run_circuit_n3", 40), ("run_circuit_n5", 6))
 FIDELITY_TARGETS = ((0.25, 0.2), (0.5, 0.0), (1.0, 0.2))
 
@@ -106,7 +110,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", required=True, type=Path)
     ap.add_argument("--label", action="append", default=None)
-    ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--out", type=Path, default=Path("BENCH_circuit.json"))
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -122,7 +125,7 @@ def main() -> int:
 
     env = environment()
     samples: dict[str, dict[str, list[float]]] = {label: {} for label in labels}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         order = list(zip(labels, args.src))
         if r % 2:
             order.reverse()
@@ -139,7 +142,7 @@ def main() -> int:
             entry[name] = {"p50_us": statistics.median(times) * 1e6, "calls": len(times),
                            "samples_us": [round(t * 1e6, 1) for t in times]}
         results[label] = entry
-    report = {"env": env, "rounds": args.rounds, "results": results}
+    report = {"env": env, "rounds": ROUNDS, "results": results}
     if len(labels) == 2:
         a, b = (results[label] for label in labels)
         report[f"p50_ratio_{labels[0]}_over_{labels[1]}"] = {
