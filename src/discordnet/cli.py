@@ -12,6 +12,7 @@ invalid parameters), 2 numerical or I/O failure during computation.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -398,12 +399,35 @@ def _cmd_noise(args) -> None:
     )
 
 
+def _cached_scaling_rows(args) -> list[experiments.ScalingRow] | None:
+    """Rows n = 2..n_max of ``<out>/scaling.json``, or None unless its manifest
+    shows that this very file came from the seed, inner budget and mixedness
+    that ``fits`` would compute with."""
+    out = Path(args.out)
+    try:
+        manifest = json.loads((out / "scaling_manifest.json").read_text(encoding="utf-8"))
+        config = manifest["config"]
+        if (
+            manifest["files"].get("scaling.json") != emit.sha256_of(out / "scaling.json")
+            or config.get("seed") != args.seed
+            or config.get("inner_budget") != args.inner_budget
+            or config.get("mixedness") != "purity"
+        ):
+            return None
+        rows = [
+            experiments.ScalingRow(**rec)
+            for rec in emit.read_json(out / "scaling.json")
+            if 2 <= rec["n"] <= args.n_max
+        ]
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+    return rows if [r.n for r in rows] == list(range(2, args.n_max + 1)) else None
+
+
 def _cmd_fits(args) -> None:
-    cache = Path(args.out) / "scaling.json"
-    if cache.exists():
-        cached = emit.read_json(cache)
-        rows = [experiments.ScalingRow(**rec) for rec in cached if rec["n"] <= args.n_max]
-        print(f"using cached table from {cache}")
+    rows = _cached_scaling_rows(args)
+    if rows is not None:
+        print(f"using cached table from {Path(args.out) / 'scaling.json'}")
     else:
         rows = experiments.scaling_table(n_max=args.n_max, final=_budget(args.inner_budget), seed=args.seed)
     fits = experiments.scaling_fits(rows)

@@ -4,7 +4,11 @@ asymmetric quantum discord, relative entropy and global quantum discord
 
 The basis searches are grid + multistart Nelder-Mead.  Objective evaluation
 is vectorized over batches of candidate bases, which is what makes the
-nested protocol optimizations elsewhere in the package tractable.
+nested protocol optimizations elsewhere in the package tractable: the grids
+are evaluated in chunks, and the Nelder-Mead starts of one search advance in
+lockstep (``search._nelder_mead``), so each simplex step of all starts costs
+one batched call.  A batch row equals the one-point value bit for bit, so the
+lockstep search returns what one scipy Nelder-Mead per start would.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .linalg import EIGENVALUE_FLOOR
+from .search import _nelder_mead
 from .states import DensityMatrix, StateError, fold_bloch, partial_trace
 
 # Correlation values in (-NEGATIVE_CLAMP, 0) are reported as exactly 0.
@@ -142,10 +146,6 @@ class _GqdObjective:
         h_joint = _shannon(probs, axis=1)
         return (h_joint - self.s_total) - np.sum(h_marg - self.s_margs[None, :], axis=1)
 
-    def point(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(self.batch(x[: self.n][None, :], x[self.n :][None, :])[0])
-
 
 @dataclass(frozen=True)
 class DiscordResult:
@@ -184,21 +184,6 @@ def _resolve_budget(budget: str | Budget) -> Budget:
         return _BUDGETS[budget]
     except KeyError:
         raise ValueError(f"unknown budget {budget!r}; use 'full' or 'fast'") from None
-
-
-def _refine(objective_point, x0: np.ndarray, budget: Budget):
-    res = minimize(
-        objective_point,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "xatol": budget.xatol,
-            "fatol": budget.fatol,
-            "maxiter": 400 * len(x0),
-            "maxfev": 400 * len(x0),
-        },
-    )
-    return res
 
 
 def _theta_grid(g: int) -> np.ndarray:
@@ -270,7 +255,8 @@ def gqd_min(
 
     Strategy: a coarse joint grid for small systems, a symmetric tied-basis
     grid as warm start for larger ones, then multistart Nelder-Mead in the
-    full 2N-dimensional angle space.
+    full 2N-dimensional angle space, its starts advanced in lockstep with one
+    batched objective call per step.
     """
     b = _resolve_budget(budget)
     n = rho.n_qubits
@@ -307,8 +293,10 @@ def gqd_min(
     best_val = math.inf
     best_x = starts[0]
     converged = True
-    for x0 in starts:
-        res = _refine(obj.point, np.asarray(x0, dtype=float), b)
+    refined = _nelder_mead(
+        lambda x: obj.batch(x[:, :n], x[:, n:]), starts, b.xatol, b.fatol, 400 * 2 * n
+    )
+    for res in refined:
         converged = converged and bool(res.success)
         if res.fun < best_val:
             best_val = float(res.fun)
@@ -360,9 +348,6 @@ class _DiscordObjective:
             total += h_raw + plogp
         return total
 
-    def point(self, x: np.ndarray) -> float:
-        return float(self.batch(np.array([x[0]]), np.array([x[1]]))[0])
-
 
 def conditional_entropy_min(
     rho: DensityMatrix, measured: str, budget: str | Budget = "full", seed: int = 0
@@ -379,8 +364,8 @@ def conditional_entropy_min(
     for _ in range(b.random_starts):
         starts.append(np.array([rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)]))
     best_val, best_x, ok = math.inf, starts[0], True
-    for x0 in starts:
-        res = _refine(obj.point, x0, b)
+    refined = _nelder_mead(lambda x: obj.batch(x[:, 0], x[:, 1]), starts, b.xatol, b.fatol, 800)
+    for res in refined:
         ok = ok and bool(res.success)
         if res.fun < best_val:
             best_val, best_x = float(res.fun), np.asarray(res.x)

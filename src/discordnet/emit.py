@@ -37,7 +37,7 @@ def _format_cell(v: Any) -> str:
     return str(v)
 
 
-def _sha256(path: Path) -> str:
+def sha256_of(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -114,7 +114,7 @@ def emit(
             write_csv(records, path)
         else:
             write_json(records, path)
-        manifest.files[path.name] = _sha256(path)
+        manifest.files[path.name] = sha256_of(path)
     manifest.finished = time.strftime("%Y-%m-%dT%H:%M:%S")
     manifest.write(out_dir / f"{command.replace(' ', '_')}_manifest.json")
     return manifest

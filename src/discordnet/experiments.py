@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit, minimize, minimize_scalar
+from scipy.optimize import curve_fit, minimize_scalar
 
 from . import correlations, protocol, search, states
 from .channels import correlated_dephasing
@@ -386,6 +386,16 @@ def anticorrelated_max(budget: Budget = FULL_BUDGET, seed: int = 0) -> float:
     return gqd_min(protocol.run_circuit(cfg).final_state, budget=budget, seed=seed).value
 
 
+def _carrier_refine(obj: Callable[[np.ndarray], float]):
+    """Short Nelder-Mead maximization of obj over carrier angles [t1, t2, p1, p2],
+    from the noiseless optimum."""
+    (res,) = search._nelder_mead(
+        search._pointwise(lambda x: -obj(x)),
+        [np.array([OPT_THETA, OPT_THETA, 0.0, 0.0])], xatol=1e-4, fatol=1e-8, maxfev=60,
+    )
+    return res
+
+
 def memory_robustness(
     resolution: int = 41,
     budget: Budget = FAST_BUDGET,
@@ -435,12 +445,7 @@ def memory_robustness(
                 )
                 return gqd_min(rho, budget=reopt_inner, seed=seed).value
 
-            res = minimize(
-                lambda x: -obj(x),
-                np.array([OPT_THETA, OPT_THETA, 0.0, 0.0]),
-                method="Nelder-Mead",
-                options={"xatol": 1e-4, "fatol": 1e-8, "maxfev": 60},
-            )
+            res = _carrier_refine(obj)
             rho = pure_state_run(
                 tm_axis[i], pm_axis[j], carrier_angles=([res.x[0], res.x[1]], [res.x[2], res.x[3]])
             )
@@ -473,12 +478,7 @@ def memory_robustness(
                 rho2 = protocol.run_circuit(cfg2).final_state
                 return gqd_min(rho2, budget=reopt_inner, seed=seed).value
 
-            res = minimize(
-                lambda x: -obj(x),
-                np.array([OPT_THETA, OPT_THETA, 0.0, 0.0]),
-                method="Nelder-Mead",
-                options={"xatol": 1e-4, "fatol": 1e-8, "maxfev": 60},
-            )
+            res = _carrier_refine(obj)
             # re-evaluate at the same budget as the fixed-basis value so the
             # two surfaces are comparable
             cfg3 = protocol.standard_config(
@@ -752,11 +752,9 @@ def noisy_max_estimate(
     thetas = np.linspace(0.0, math.pi, theta_grid)
     coarse = [family(float(t), inner) for t in thetas]
     t0 = float(thetas[int(np.argmax(coarse))])
-    res = minimize(
-        lambda v: -family(float(v[0]), inner),
-        x0=np.array([t0]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-4, "fatol": 1e-8, "maxfev": 60},
+    (res,) = search._nelder_mead(
+        search._pointwise(lambda v: -family(float(v[0]), inner)),
+        [np.array([t0])], xatol=1e-4, fatol=1e-8, maxfev=60,
     )
     branch = family(float(np.clip(res.x[0], 0.0, math.pi)), final)
     return max(branch, rho0_curve_point(p, mu, budget=final, seed=seed))

@@ -5,6 +5,14 @@ followed by multistart Nelder-Mead refinement.  Objectives are either plain
 callables ``f(x) -> float`` on a vector of angles, or additionally provide a
 ``batch`` attribute evaluating many points at once (used to vectorize the grid
 stage).
+
+Every Nelder-Mead in the package runs through ``_nelder_mead``: scipy's
+non-adaptive, unbounded ``_minimize_neldermead`` rewritten as one generator
+per start, advanced in lockstep so that each step evaluates the pending points
+of all starts in one batched objective call.  It takes the same steps in the
+same order, with the same ``maxfev`` cut, so its results are bit-identical to
+``scipy.optimize.minimize(method="Nelder-Mead")`` whenever a batch row equals
+the one-point value.
 """
 
 from __future__ import annotations
@@ -13,10 +21,9 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Generator, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 
 class SearchError(ValueError):
@@ -100,6 +107,138 @@ def _evaluate(spec: SearchSpec, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
+class _Simplex(NamedTuple):
+    """Outcome of one Nelder-Mead start, with the fields scipy reports."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    success: bool
+    final_simplex: tuple[np.ndarray, np.ndarray]
+
+
+# scipy's non-adaptive step coefficients and initial-simplex offsets.
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+
+
+def _nelder_mead_start(
+    x0: np.ndarray, xatol: float, fatol: float, maxfev: int
+) -> Generator[np.ndarray, np.ndarray, _Simplex]:
+    """One start of scipy's Nelder-Mead as a generator.
+
+    It yields each block of points it needs, shape (k, d), and is sent their k
+    values.  ``maxiter`` is not modelled: every caller sets it to ``maxfev``
+    or leaves it unset, and each iteration costs at least one evaluation, so
+    it never stops a run before ``maxfev`` does.
+    """
+    x0 = np.array(x0, dtype=float).ravel()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
+        sim[k + 1] = y
+    fsim = np.full((n + 1,), np.inf)
+    nfev = min(n + 1, maxfev)
+    if nfev:
+        fsim[:nfev] = yield sim[:nfev]
+    # scipy sorts twice after the initial simplex; argsort is not stable, so
+    # the second sort may reorder ties.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    while nfev < maxfev:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + _RHO) * xbar - _RHO * sim[-1]
+        fxr = (yield xr[None])[0]
+        nfev += 1
+        # A step whose evaluation would exceed maxfev stops the run without
+        # changing the simplex, as scipy's evaluation counter does.
+        if fxr < fsim[0]:
+            if nfev < maxfev:
+                xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
+                fxe = (yield xe[None])[0]
+                nfev += 1
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif nfev < maxfev:
+            if fxr < fsim[-1]:
+                xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
+                fxc = (yield xc[None])[0]
+                accept = fxc <= fxr
+            else:
+                xc = (1 - _PSI) * xbar + _PSI * sim[-1]
+                fxc = (yield xc[None])[0]
+                accept = fxc < fsim[-1]
+            nfev += 1
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                # Shrink towards the best vertex.  scipy moves a vertex before
+                # evaluating it, so a maxfev cut leaves one more vertex moved
+                # than evaluated.
+                m = min(n, maxfev - nfev)
+                moved = slice(1, min(n, m + 1) + 1)
+                sim[moved] = sim[0] + _SIGMA * (sim[moved] - sim[0])
+                if m:
+                    fsim[1 : m + 1] = yield sim[1 : m + 1]
+                    nfev += m
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return _Simplex(sim[0], np.min(fsim), nfev, nfev < maxfev, (sim, fsim))
+
+
+def _nelder_mead(
+    batch: Callable[[np.ndarray], np.ndarray],
+    starts: Sequence[np.ndarray],
+    xatol: float,
+    fatol: float,
+    maxfev: int,
+) -> list[_Simplex]:
+    """Nelder-Mead from every start, in lockstep; one result per start.
+
+    ``batch`` maps a (k, d) block of points to their k values.  Each round
+    concatenates the pending points of all unfinished starts into one call.
+    """
+    runs = [_nelder_mead_start(x0, xatol, fatol, maxfev) for x0 in starts]
+    results: list[_Simplex] = [None] * len(runs)  # type: ignore[list-item]
+    pending: list[tuple[int, np.ndarray]] = []
+
+    def advance(i: int, values: np.ndarray | None) -> None:
+        try:
+            pending.append((i, runs[i].send(values)))
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while pending:
+        values = np.asarray(batch(np.concatenate([pts for _, pts in pending])), dtype=float)
+        current, pending = pending, []
+        offset = 0
+        for i, pts in current:
+            advance(i, values[offset : offset + len(pts)])
+            offset += len(pts)
+    return results
+
+
+def _pointwise(f: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch form of a one-point objective: evaluates the rows one by one."""
+    return lambda pts: np.array([f(x) for x in pts], dtype=float)
+
+
 def optimize(spec: SearchSpec) -> SearchResult:
     """Grid scan + multistart Nelder-Mead; deterministic for a fixed seed."""
     sign = _sign(spec)
@@ -118,36 +257,29 @@ def optimize(spec: SearchSpec) -> SearchResult:
     def fun(x: np.ndarray) -> float:
         return sign * float(spec.objective(np.asarray(x, dtype=float)))
 
+    groups = spec.symmetry_groups if spec.tie_refinement else ()
+
+    def untie(z: np.ndarray) -> np.ndarray:
+        """Full point from one value per symmetry group."""
+        x = np.empty(spec.dimension)
+        for g, group in enumerate(groups):
+            x[list(group)] = z[g]
+        return x
+
+    if groups:
+        refine_starts = [np.array([x0[group[0]] for group in groups]) for x0 in starts]
+        objective = _pointwise(lambda z: fun(untie(z)))
+    else:
+        refine_starts = starts
+        objective = _pointwise(fun)
+    dim = len(groups) or spec.dimension
+    refined = _nelder_mead(objective, refine_starts, spec.tolerance, spec.tolerance ** 2, 400 * dim)
+
     best_x = pts[order[0]].copy()
     best_v = float(vals[order[0]])
     trace: list[tuple[float, ...]] = []
-    for x0 in starts:
-        if spec.tie_refinement and spec.symmetry_groups:
-            groups = spec.symmetry_groups
-
-            def tied(z: np.ndarray) -> float:
-                x = np.empty(spec.dimension)
-                for g, group in enumerate(groups):
-                    x[list(group)] = z[g]
-                return fun(x)
-
-            z0 = np.array([x0[group[0]] for group in groups])
-            res = minimize(
-                tied, z0, method="Nelder-Mead",
-                options={"xatol": spec.tolerance, "fatol": spec.tolerance ** 2,
-                         "maxiter": 400 * len(z0), "maxfev": 400 * len(z0)},
-            )
-            xr = np.empty(spec.dimension)
-            for g, group in enumerate(groups):
-                xr[list(group)] = res.x[g]
-        else:
-            res = minimize(
-                fun, x0, method="Nelder-Mead",
-                options={"xatol": spec.tolerance, "fatol": spec.tolerance ** 2,
-                         "maxiter": 400 * spec.dimension,
-                         "maxfev": 400 * spec.dimension},
-            )
-            xr = np.asarray(res.x, dtype=float)
+    for res in refined:
+        xr = untie(res.x) if groups else np.asarray(res.x, dtype=float)
         evaluations += int(res.nfev)
         fv = float(res.fun)
         trace.append((sign * fv, *xr))

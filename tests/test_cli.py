@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from discordnet import cli
+from discordnet import cli, emit, experiments
 
 
 def run(argv, capsys):
@@ -163,3 +163,62 @@ def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
         ["heatmap", "--resolution", "3", "--out", str(tmp_path)], capsys
     )
     assert code == 0
+
+
+def _write_scaling_cache(out, seed=0, inner_budget="full", mixedness="purity", ns=(2, 3, 4, 5)):
+    g_max = {2: 0.219811, 3: 0.469449, 4: 0.704025, 5: 0.933755}
+    rows = [
+        {"n": n, "theta": 0.9, "g_max": g_max[n], "g_w": 1.0, "epsilon": 0.5, "g_eps": 0.5,
+         "ratio": 1.0}
+        for n in ns
+    ]
+    config = {"seed": seed, "inner_budget": inner_budget, "mixedness": mixedness, "n_min": 2,
+              "n_max": max(ns), "out": str(out), "format": "json", "threads": 1}
+    emit.emit({"scaling": rows}, fmt="json", out_dir=out, command="scaling", config=config, seed=seed)
+    return [experiments.ScalingRow(**r) for r in rows]
+
+
+def _fits_with_table(tmp_path, capsys, monkeypatch, argv):
+    computed = []
+
+    def table(**kwargs):
+        computed.append(kwargs)
+        return _write_scaling_cache(tmp_path / "fresh", seed=kwargs["seed"])[: kwargs["n_max"] - 1]
+
+    monkeypatch.setattr(experiments, "scaling_table", table)
+    code, out, _ = run(["fits", "--out", str(tmp_path), "--format", "json", *argv], capsys)
+    assert code == 0
+    return computed, out
+
+
+def test_fits_reuses_matching_scaling_cache(tmp_path, capsys, monkeypatch):
+    _write_scaling_cache(tmp_path, seed=3)
+    computed, out = _fits_with_table(tmp_path, capsys, monkeypatch, ["--seed", "3"])
+    assert computed == []
+    assert "using cached table" in out
+    assert json.loads((tmp_path / "fits.json").read_text(encoding="utf-8"))[0]["points"] == 4
+
+
+@pytest.mark.parametrize(
+    "cache, argv",
+    [
+        ({"seed": 1}, ["--seed", "3"]),
+        ({"seed": 3, "inner_budget": "fast"}, ["--seed", "3"]),
+        ({"seed": 3, "mixedness": "entropy"}, ["--seed", "3"]),
+        ({"seed": 3, "ns": (2, 3, 4)}, ["--seed", "3", "--n-max", "5"]),
+        ({"seed": 3, "ns": (3, 4, 5)}, ["--seed", "3"]),
+    ],
+)
+def test_fits_recomputes_stale_scaling_cache(tmp_path, capsys, monkeypatch, cache, argv):
+    _write_scaling_cache(tmp_path, **cache)
+    computed, out = _fits_with_table(tmp_path, capsys, monkeypatch, argv)
+    assert len(computed) == 1 and computed[0]["seed"] == 3
+    assert "using cached table" not in out
+
+
+def test_fits_recomputes_when_cache_file_changed_after_manifest(tmp_path, capsys, monkeypatch):
+    _write_scaling_cache(tmp_path, seed=3)
+    data = tmp_path / "scaling.json"
+    data.write_text(data.read_text(encoding="utf-8").replace("0.9", "1.1"), encoding="utf-8")
+    computed, _ = _fits_with_table(tmp_path, capsys, monkeypatch, ["--seed", "3"])
+    assert len(computed) == 1

@@ -149,3 +149,27 @@ def test_seed_determinism(reference_state):
     b = gqd_min(reference_state, budget=FAST_BUDGET, seed=3)
     assert a.value == b.value
     assert a.basis == b.basis
+
+
+PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))
+# (tr rho sx.sx, tr rho sy.sy, tr rho sz.sz) of phi+, phi-, psi+, psi-
+BELL_CORRELATIONS = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float)
+
+
+def _binary_entropy(p):
+    return -sum(q * math.log2(q) for q in (p, 1 - p) if q > 0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bell_diagonal_closed_form(seed):
+    # Luo, PRA 77, 042303: for rho = (1 + sum_i c_i s_i.s_i)/4 with
+    # c = max_i |c_i|, D_{A|B} = D_{B|A} = 1 + h((1+c)/2) - S(rho); the
+    # marginals are maximally mixed, so GQD takes the same value.
+    c = np.random.default_rng(seed).dirichlet(np.ones(4)) @ BELL_CORRELATIONS
+    m = (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, PAULIS))) / 4
+    rho = DensityMatrix(("A", "B"), m)
+    c_max = max(abs(float(np.real(np.trace(m @ np.kron(s, s))))) for s in PAULIS)
+    want = 1 + _binary_entropy((1 + c_max) / 2) - entropy(rho)
+    assert abs(gqd_min(rho, budget=FAST_BUDGET, seed=seed).value - want) < 1e-8
+    assert abs(discord_asym(rho, "A", "B", budget=FAST_BUDGET, seed=seed).value - want) < 1e-8
+    assert abs(discord_asym(rho, "B", "A", budget=FAST_BUDGET, seed=seed).value - want) < 1e-8

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from discordnet import protocol, states
+from discordnet.correlations import _DiscordObjective, _GqdObjective
 from discordnet.search import (
     SearchError,
     SearchSpec,
     SweepSpec,
+    _nelder_mead,
+    _pointwise,
     optimize,
     run_sweep,
     uniform_average,
@@ -155,3 +160,108 @@ def test_run_sweep_order_and_payload():
 def test_sweep_requires_values():
     with pytest.raises(SearchError):
         SweepSpec(parameter="p", values=(), evaluate=lambda v, f: {})
+
+
+# -- the lockstep Nelder-Mead against scipy's, bit for bit --------------------
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def cusp(x):
+    # a minimum at a cusp: started on it, every contraction fails, so the
+    # simplex shrinks within the first few steps
+    return float(np.sum(np.sqrt(np.abs(x - 0.3))))
+
+
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    d = 2 ** n
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = a @ a.conj().T
+    return states.DensityMatrix(tuple(f"Q{i}" for i in range(n)), m / np.trace(m))
+
+
+def _gqd_problem(n):
+    obj = _GqdObjective(_random_state(n, 100 + n))
+    starts = [np.full(2 * n, 0.7), np.linspace(0.0, 3.0, 2 * n)]
+    return lambda x: obj.batch(x[:, :n], x[:, n:]), starts
+
+
+def _discord_problem():
+    obj = _DiscordObjective(protocol.final_state_closed_form(0.9, 0.6, 0.3, 1.1), "M2")
+    starts = [np.array([0.4, 0.0]), np.array([2.5, 4.0]), np.array([1.2, 2.2])]
+    return lambda x: obj.batch(x[:, 0], x[:, 1]), starts
+
+
+PROBLEMS = {
+    **{
+        f"rosenbrock{d}": (
+            _pointwise(rosenbrock),
+            [np.linspace(-1.2, 1.0, d), np.zeros(d), np.full(d, 2.0)],
+        )
+        for d in (2, 3, 4)
+    },
+    **{
+        f"cusp{d}": (_pointwise(cusp), [np.full(d, 0.3), np.ones(d), np.linspace(-1.2, 1.0, d)])
+        for d in (3, 4)
+    },
+    "gqd_n2": _gqd_problem(2),
+    "gqd_n3": _gqd_problem(3),
+    "discord": _discord_problem(),
+}
+
+
+def _one_point(batch):
+    return lambda x: batch(np.asarray(x)[None, :])[0]
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_lockstep_nelder_mead_is_scipy_bit_for_bit(name):
+    batch, starts = PROBLEMS[name]
+    dim = len(starts[0])
+    xatol, fatol = 1e-7, 1e-10
+    # Cuts in the initial simplex, in reflections, expansions, contractions
+    # and shrinks, and one run to convergence.
+    for maxfev in [*range(1, 61), 400 * dim]:
+        got = _nelder_mead(batch, starts, xatol, fatol, maxfev)
+        for x0, res in zip(starts, got):
+            want = minimize(
+                _one_point(batch), x0, method="Nelder-Mead",
+                options={"xatol": xatol, "fatol": fatol, "maxiter": maxfev, "maxfev": maxfev},
+            )
+            where = f"{name}, start {x0}, maxfev {maxfev}"
+            assert np.array_equal(res.x, want.x), where
+            assert res.fun == want.fun, where
+            assert res.nfev == want.nfev, where
+            assert res.success == want.success, where
+            for mine, theirs in zip(res.final_simplex, want.final_simplex):
+                assert np.array_equal(mine, theirs), where
+
+
+def test_lockstep_nelder_mead_without_maxiter_is_scipy():
+    # the experiments' short refinements give scipy only maxfev
+    for maxfev in range(1, 61):
+        (res,) = _nelder_mead(_pointwise(rosenbrock), [np.array([0.9, 0.0, 0.0, 0.0])],
+                              1e-4, 1e-8, maxfev)
+        want = minimize(rosenbrock, np.array([0.9, 0.0, 0.0, 0.0]), method="Nelder-Mead",
+                        options={"xatol": 1e-4, "fatol": 1e-8, "maxfev": maxfev})
+        assert np.array_equal(res.x, want.x) and res.fun == want.fun
+        assert (res.nfev, res.success) == (want.nfev, want.success)
+
+
+def test_objective_batch_rows_equal_one_point_calls():
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 4, 5):
+        obj = _GqdObjective(_random_state(n, n))
+        pts = rng.uniform(0.0, 2 * math.pi, size=(24, 2 * n))
+        single = [obj.batch(p[:n][None, :], p[n:][None, :])[0] for p in pts]
+        for size in range(1, len(pts) + 1):
+            rows = obj.batch(pts[:size, :n], pts[:size, n:])
+            assert np.array_equal(rows, single[:size]), (n, size)
+    obj = _DiscordObjective(_random_state(3, 9), "Q1")
+    pts = rng.uniform(0.0, 2 * math.pi, size=(24, 2))
+    single = [obj.batch(p[:1], p[1:])[0] for p in pts]
+    for size in range(1, len(pts) + 1):
+        assert np.array_equal(obj.batch(pts[:size, 0], pts[:size, 1]), single[:size]), size

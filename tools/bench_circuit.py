@@ -1,4 +1,5 @@
-"""Per-call timings of the protocol circuit and of the fidelity search.
+"""Per-call timings of the protocol circuit, the inner basis searches and the
+fidelity search.
 
 Usage, from the root of a checkout:
 
@@ -12,14 +13,20 @@ alike.  A round times:
 
 - ``protocol.run_circuit`` at N = 2 with correlated dephasing (p = 0.5,
   mu = 1), at N = 3 and at N = 5 (ideal memories), many calls each;
+- ``correlations.gqd_min`` at the fast budget on the 16 closed-form states of
+  a 4 x 4 heatmap grid (theta1, theta2 in [0, pi], phi = 0), and
+  ``correlations.discord_asym`` on the same states, D(M1|M2) and D(M2|M1);
+- ``correlations.gqd_min`` at ``experiments.REDUCED_BUDGET`` (the budget of
+  the outer angle searches) on protocol outputs at N = 3 and N = 5;
 - ``experiments.best_fidelity_state`` once on each of three fixed targets
   that finish at every revision.
 
 The output file records, per checkout, the p50 of the per-call times over all
-rounds together with every sample, the checkout's commit (``+dirty`` when
-``src/`` has uncommitted changes) and a sha256 of its ``src/``; with two
-checkouts it also records the first-to-second ratio of each p50.  An ``env``
-entry records the interpreter, libraries and machine.
+rounds together with every sample, the objective evaluations per round of
+each inner-search case, the checkout's commit (``+dirty`` when ``src/`` has
+uncommitted changes) and a sha256 of its ``src/``; with two checkouts it also
+records the first-to-second ratio of each p50.  An ``env`` entry records the
+interpreter, libraries and machine.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -35,17 +43,45 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-# Rounds per run, (name, calls per round) of the circuit workloads, and the
-# fidelity targets (p, x); fixed so that every checkout is timed alike.
+# Rounds per run, (name, calls per round) of the circuit workloads, the fidelity
+# targets (p, x), the heatmap grid of the inner-search cases and the calls per
+# round at the reduced budget; fixed so that every checkout is timed alike.
 ROUNDS = 5
 CIRCUITS = (("run_circuit_n2_dephasing", 200), ("run_circuit_n3", 40), ("run_circuit_n5", 6))
 FIDELITY_TARGETS = ((0.25, 0.2), (0.5, 0.0), (1.0, 0.2))
+HEATMAP_RESOLUTION = 4
+INNER_REDUCED = (("gqd_min_n3_reduced", 10), ("gqd_min_n5_reduced", 5))
 
 
-def child(src: Path) -> dict[str, list[float]]:
-    """Time every workload in this interpreter; seconds per call."""
+def _inner_cases(experiments, protocol, correlations) -> dict:
+    """Name -> list of zero-argument calls returning a DiscordResult."""
+    fast = correlations.FAST_BUDGET
+    axis = [math.pi * k / (HEATMAP_RESOLUTION - 1) for k in range(HEATMAP_RESOLUTION)]
+    heat = [protocol.final_state_closed_form(t1, t2, 0.0, 0.0) for t1 in axis for t2 in axis]
+    cases = {
+        "gqd_min_heatmap_fast": [lambda r=r: correlations.gqd_min(r, budget=fast) for r in heat],
+        "discord_asym_heatmap_fast": [
+            lambda r=r, a=a, b=b: correlations.discord_asym(r, a, b, budget=fast)
+            for r in heat for a, b in (("M1", "M2"), ("M2", "M1"))
+        ],
+    }
+    states_reduced = {
+        "gqd_min_n3_reduced": protocol.standard_config([0.9, 1.1, 0.7], [0.3, 0.2, 1.4]),
+        "gqd_min_n5_reduced": protocol.standard_config([0.9] * 5),
+    }
+    for name, calls in INNER_REDUCED:
+        rho = protocol.run_circuit(states_reduced[name]).final_state
+        cases[name] = [
+            lambda rho=rho: correlations.gqd_min(rho, budget=experiments.REDUCED_BUDGET)
+        ] * calls
+    return cases
+
+
+def child(src: Path) -> dict[str, dict[str, list[float]] | dict[str, int]]:
+    """Time every workload in this interpreter; seconds per call, and the
+    objective evaluations of each inner-search case."""
     sys.path.insert(0, str(src / "src"))
-    from discordnet import channels, experiments, protocol, states
+    from discordnet import channels, correlations, experiments, protocol, states
 
     configs = {
         "run_circuit_n2_dephasing": protocol.standard_config(
@@ -63,13 +99,23 @@ def child(src: Path) -> dict[str, list[float]]:
             protocol.run_circuit(configs[name])
             times.append(perf_counter() - t0)
         samples[name] = times
+    evaluations: dict[str, int] = {}
+    for name, calls in _inner_cases(experiments, protocol, correlations).items():
+        calls[0]()  # warm-up
+        times, evaluations[name] = [], 0
+        for call in calls:
+            t0 = perf_counter()
+            result = call()
+            times.append(perf_counter() - t0)
+            evaluations[name] += result.evaluations
+        samples[name] = times
     times = []
     for p, x in FIDELITY_TARGETS:
         t0 = perf_counter()
         experiments.best_fidelity_state(p, states.bell_mixture(x))
         times.append(perf_counter() - t0)
     samples["best_fidelity_state"] = times
-    return samples
+    return {"times": samples, "evaluations": evaluations}
 
 
 def _commit(root: Path) -> str:
@@ -125,6 +171,7 @@ def main() -> int:
 
     env = environment()
     samples: dict[str, dict[str, list[float]]] = {label: {} for label in labels}
+    evaluations: dict[str, dict[str, list[int]]] = {label: {} for label in labels}
     for r in range(ROUNDS):
         order = list(zip(labels, args.src))
         if r % 2:
@@ -132,12 +179,16 @@ def main() -> int:
         for label, src in order:
             out = subprocess.run([sys.executable, __file__, "--child", "--src", str(src)],
                                  capture_output=True, text=True, check=True)
-            for name, times in json.loads(out.stdout.splitlines()[-1]).items():
+            measured = json.loads(out.stdout.splitlines()[-1])
+            for name, times in measured["times"].items():
                 samples[label].setdefault(name, []).extend(times)
+            for name, count in measured["evaluations"].items():
+                evaluations[label].setdefault(name, []).append(count)
 
     results = {}
     for label, src in zip(labels, args.src):
-        entry = {"commit": _commit(src), "source_sha256": _source_digest(src)}
+        entry = {"commit": _commit(src), "source_sha256": _source_digest(src),
+                 "evaluations_per_round": evaluations[label]}
         for name, times in samples[label].items():
             entry[name] = {"p50_us": statistics.median(times) * 1e6, "calls": len(times),
                            "samples_us": [round(t * 1e6, 1) for t in times]}
