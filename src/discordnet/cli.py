@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -94,6 +93,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--seed", type=int, **(d or {"default": 0}))
     parser.add_argument("--out", help="output directory for experiment data", **(d or {"default": "out"}))
     parser.add_argument("--format", choices=("csv", "json"), **(d or {"default": "csv"}))
+    # Accepted for compatibility; every command runs in one thread.
     parser.add_argument("--threads", type=int, **(d or {"default": None}))
     parser.add_argument("--inner-budget", choices=("fast", "full"), **(d or {"default": "full"}))
 
@@ -308,9 +308,7 @@ def _cmd_census(args) -> None:
 
 
 def _cmd_heatmap(args) -> None:
-    grids = experiments.heatmaps(
-        resolution=args.resolution, seed=args.seed, threads=args.threads
-    )
+    grids = experiments.heatmaps(resolution=args.resolution, seed=args.seed)
     records = []
     for i, t1 in enumerate(grids["theta"]):
         for j, t2 in enumerate(grids["theta"]):
@@ -329,8 +327,8 @@ def _cmd_heatmap(args) -> None:
 def _cmd_robustness(args) -> None:
     if args.kind == "carrier":
         values = np.round(np.arange(0.0, 1.0 + 1e-9, args.step), 10)
-        lam = experiments.carrier_mixing_sweep(values, seed=args.seed, threads=args.threads)
-        eta = experiments.carrier_bias_sweep(values, seed=args.seed, threads=args.threads)
+        lam = experiments.carrier_mixing_sweep(values, seed=args.seed)
+        eta = experiments.carrier_bias_sweep(values, seed=args.seed)
         anti = experiments.anticorrelated_max(seed=args.seed)
         print(f"anticorrelated-carrier GQD at the standard basis = {anti:.10g}")
         _emit(
@@ -342,9 +340,7 @@ def _cmd_robustness(args) -> None:
             },
         )
     elif args.kind == "memory":
-        panels = experiments.memory_robustness(
-            resolution=args.resolution, seed=args.seed, threads=args.threads
-        )
+        panels = experiments.memory_robustness(resolution=args.resolution, seed=args.seed)
         named = {}
         for name, grid in panels.items():
             keys = [k for k in grid if k not in ("theta_m", "phi_m", "a1", "a2")]
@@ -390,7 +386,6 @@ def _cmd_noise(args) -> None:
         final=_budget(args.inner_budget),
         include_tau=not args.no_tau,
         seed=args.seed,
-        threads=args.threads,
     )
     _emit(
         args,
@@ -469,9 +464,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             _apply_config_defaults(parser, _parse_config_file(cfg_path))
         args = parser.parse_args(argv)
         args.seed = int(args.seed)
-        if args.threads is None:
-            args.threads = int(os.environ.get("DISCORDNET_THREADS", "1"))
-        args.threads = max(int(args.threads), 1)
+        for flag in ("threads", "resolution"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ConfigError(f"--{flag} must be >= 1, got {value}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,13 +4,14 @@ curves, the correlated-dephasing noise study, and scaling-law fits.
 Every function is deterministic for a fixed seed and returns plain records
 (dataclasses or dicts of arrays) that the CLI serializes.  Resolution and
 budget arguments exist so tests can run scaled-down versions; defaults match
-the full study.
+the full study.  Every study runs serially in one thread: the inner searches
+batch their own objective evaluations, so threads over grid points would only
+contend for the interpreter lock.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
@@ -37,13 +38,6 @@ REDUCED_BUDGET = Budget(
 # Maximum asymmetric discord attainable by the bipartite protocol; the
 # per-interaction quantum of the scaling law M(N) = q(N-1) + xi(N).
 PAIR_DISCORD_MAX = 0.2017520733857
-
-
-def _map(fn: Callable, items: Sequence, threads: int = 1) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def protocol_gqd(
@@ -251,25 +245,33 @@ def heatmaps(
     resolution: int = 61,
     budget: Budget = FAST_BUDGET,
     seed: int = 0,
-    threads: int = 1,
 ) -> dict[str, np.ndarray]:
-    """D(M1|M2), D(M2|M1) and GQD on a (theta1, theta2) grid at phi = 0."""
+    """D(M1|M2), D(M2|M1) and GQD on a (theta1, theta2) grid at phi = 0.
+
+    The grid has an exact 8-fold symmetry, so the searches run only on the
+    orbit representatives i <= j < ceil(resolution / 2) and every other cell
+    is copied from one of them:
+
+    - theta_i -> pi - theta_i is a local Z on memory M_i at phi = 0, and
+      discord and GQD are invariant under local unitaries;
+    - swapping (theta1, theta2) swaps the memories, which exchanges
+      D(M1|M2) and D(M2|M1) and leaves GQD unchanged.
+    """
     axis = np.linspace(0.0, math.pi, resolution)
-
-    def point(idx: tuple[int, int]) -> tuple[float, float, float]:
-        i, j = idx
-        rho = protocol.final_state_closed_form(axis[i], axis[j], 0.0, 0.0)
-        d12 = discord_asym(rho, "M1", "M2", budget=budget, seed=seed).value
-        d21 = discord_asym(rho, "M2", "M1", budget=budget, seed=seed).value
-        g = gqd_min(rho, budget=budget, seed=seed).value
-        return d12, d21, g
-
-    grid_idx = [(i, j) for i in range(resolution) for j in range(resolution)]
-    flat = _map(point, grid_idx, threads)
-    d12 = np.array([v[0] for v in flat]).reshape(resolution, resolution)
-    d21 = np.array([v[1] for v in flat]).reshape(resolution, resolution)
-    g = np.array([v[2] for v in flat]).reshape(resolution, resolution)
-    return {"theta": axis, "d_m1_m2": d12, "d_m2_m1": d21, "gqd": g}
+    half = (resolution + 1) // 2
+    d12, d21, g = (np.empty((half, half)) for _ in range(3))
+    for i in range(half):
+        for j in range(i, half):
+            rho = protocol.final_state_closed_form(axis[i], axis[j], 0.0, 0.0)
+            m1_m2 = discord_asym(rho, "M1", "M2", budget=budget, seed=seed).value
+            m2_m1 = discord_asym(rho, "M2", "M1", budget=budget, seed=seed).value
+            # the swapped cell first, so that i == j keeps the direct values
+            d12[j, i], d21[j, i] = m2_m1, m1_m2
+            d12[i, j], d21[i, j] = m1_m2, m2_m1
+            g[i, j] = g[j, i] = gqd_min(rho, budget=budget, seed=seed).value
+    k = np.arange(resolution)
+    cells = np.ix_(np.minimum(k, resolution - 1 - k), np.minimum(k, resolution - 1 - k))
+    return {"theta": axis, "d_m1_m2": d12[cells], "d_m2_m1": d21[cells], "gqd": g[cells]}
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +334,6 @@ def carrier_mixing_sweep(
     lambdas: Sequence[float] | None = None,
     budget: Budget = FAST_BUDGET,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[search.SweepRecord]:
     """GQD against the carrier mixing weight: fixed optimal basis vs
     re-optimized basis at every point."""
@@ -354,14 +355,13 @@ def carrier_mixing_sweep(
         }
 
     spec = search.SweepSpec("lambda", tuple(float(v) for v in lambdas), evaluate)
-    return search.run_sweep(spec, threads=threads)
+    return search.run_sweep(spec)
 
 
 def carrier_bias_sweep(
     etas: Sequence[float] | None = None,
     budget: Budget = FAST_BUDGET,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[search.SweepRecord]:
     """GQD against the carrier bias weight eta (re-optimized basis)."""
     if etas is None:
@@ -375,7 +375,7 @@ def carrier_bias_sweep(
         return {"gqd": gqd_min(rho, budget=budget, seed=seed).value}
 
     spec = search.SweepSpec("eta", tuple(float(v) for v in etas), evaluate)
-    return search.run_sweep(spec, threads=threads)
+    return search.run_sweep(spec)
 
 
 def anticorrelated_max(budget: Budget = FULL_BUDGET, seed: int = 0) -> float:
@@ -401,7 +401,6 @@ def memory_robustness(
     budget: Budget = FAST_BUDGET,
     reopt_inner: Budget = REDUCED_BUDGET,
     seed: int = 0,
-    threads: int = 1,
     panels: Sequence[str] = ("a", "b", "c"),
 ) -> dict[str, dict[str, np.ndarray]]:
     """GQD against the initial memory state.
@@ -411,6 +410,11 @@ def memory_robustness(
     Panel c: dephased-memory purities (A1, A2), fixed basis and re-optimized.
     """
     out: dict[str, dict[str, np.ndarray]] = {}
+
+    def grid(point: Callable[[int, int], Any]) -> np.ndarray:
+        """point(i, j) at every cell, row-major; a trailing axis for tuples."""
+        vals = np.array([point(i, j) for i in range(resolution) for j in range(resolution)])
+        return vals.reshape(resolution, resolution, *vals.shape[1:])
 
     def pure_state_run(theta_m: float, phi_m: float, carrier_angles=None):
         thetas = [OPT_THETA, OPT_THETA] if carrier_angles is None else carrier_angles[0]
@@ -424,21 +428,13 @@ def memory_robustness(
         tm_axis = np.linspace(0.0, math.pi, resolution)
         pm_axis = np.linspace(0.0, 2 * math.pi, resolution)
     if "a" in panels:
-        def point_a(idx):
-            i, j = idx
+        def point_a(i, j):
             rho = pure_state_run(tm_axis[i], pm_axis[j])
             return gqd_min(rho, budget=budget, seed=seed).value
 
-        vals = _map(point_a, [(i, j) for i in range(resolution) for j in range(resolution)], threads)
-        out["a"] = {
-            "theta_m": tm_axis,
-            "phi_m": pm_axis,
-            "gqd": np.array(vals).reshape(resolution, resolution),
-        }
+        out["a"] = {"theta_m": tm_axis, "phi_m": pm_axis, "gqd": grid(point_a)}
     if "b" in panels:
-        def point_b(idx):
-            i, j = idx
-
+        def point_b(i, j):
             def obj(x):
                 rho = pure_state_run(
                     tm_axis[i], pm_axis[j], carrier_angles=([x[0], x[1]], [x[2], x[3]])
@@ -451,17 +447,11 @@ def memory_robustness(
             )
             return gqd_min(rho, budget=budget, seed=seed).value
 
-        vals = _map(point_b, [(i, j) for i in range(resolution) for j in range(resolution)], threads)
-        out["b"] = {
-            "theta_m": tm_axis,
-            "phi_m": pm_axis,
-            "gqd": np.array(vals).reshape(resolution, resolution),
-        }
+        out["b"] = {"theta_m": tm_axis, "phi_m": pm_axis, "gqd": grid(point_b)}
     if "c" in panels:
         a_axis = np.linspace(0.5, 1.0, resolution)
 
-        def point_c(idx):
-            i, j = idx
+        def point_c(i, j):
             cfg = protocol.standard_config(
                 thetas=[OPT_THETA, OPT_THETA],
                 memories=states.mixed_memories(a_axis[i], a_axis[j]),
@@ -491,12 +481,12 @@ def memory_robustness(
             ).value
             return fixed, max(refined, fixed)
 
-        flat = _map(point_c, [(i, j) for i in range(resolution) for j in range(resolution)], threads)
+        both = grid(point_c)
         out["c"] = {
             "a1": a_axis,
             "a2": a_axis,
-            "gqd_fixed": np.array([v[0] for v in flat]).reshape(resolution, resolution),
-            "gqd_reoptimized": np.array([v[1] for v in flat]).reshape(resolution, resolution),
+            "gqd_fixed": both[..., 0],
+            "gqd_reoptimized": both[..., 1],
         }
     return out
 
@@ -806,7 +796,6 @@ def dephasing_noise_study(
     include_tau: bool = True,
     x_grid: int = 101,
     seed: int = 0,
-    threads: int = 1,
 ) -> dict[str, Any]:
     """Noise study: outer-maximized GQD, fixed-angle curve, fidelity-target
     curves, and the p = 1 outcome-dependence demonstration."""
@@ -839,7 +828,7 @@ def dephasing_noise_study(
             rec["tau_fidelity"] = tau["fidelity"]
         return rec
 
-    curve = _map(point, p_values, threads)
+    curve = [point(p) for p in p_values]
     return {"curve": curve, "outcomes_p1": outcome_dependence(1.0, mu, budget=final, seed=seed)}
 
 

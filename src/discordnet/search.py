@@ -13,13 +13,15 @@ of all starts in one batched objective call.  It takes the same steps in the
 same order, with the same ``maxfev`` cut, so its results are bit-identical to
 ``scipy.optimize.minimize(method="Nelder-Mead")`` whenever a batch row equals
 the one-point value.
+
+Sweeps and averages evaluate their points one after another in the calling
+thread; nothing in this module starts a thread or a process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Mapping, NamedTuple, Sequence
 
@@ -32,9 +34,12 @@ class SearchError(ValueError):
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Box-constrained optimization problem over a small angle vector.
+    """Optimization problem over a small angle vector.
 
     ``objective`` maps a 1-d float array of length ``dimension`` to a float.
+    ``bounds`` only shape the start points: the grid and the random starts
+    lie in the box, but the Nelder-Mead refinement is unbounded and may leave
+    it, so an objective must accept any finite point (fold angles if needed).
     If ``symmetric`` is set, all coordinates within each group listed in
     ``symmetry_groups`` are tied equal during the grid stage (refinement is
     always unrestricted unless ``tie_refinement`` is set).
@@ -314,15 +319,12 @@ class SweepRecord:
     payload: Mapping[str, Any]
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRecord]:
-    """Evaluate the sweep grid; results are ordered by grid index."""
-    def point(v: float) -> SweepRecord:
-        return SweepRecord(spec.parameter, float(v), dict(spec.evaluate(v, spec.fixed)))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(point, spec.values))
-    return [point(v) for v in spec.values]
+def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
+    """Evaluate the sweep grid in order; one record per grid value."""
+    return [
+        SweepRecord(spec.parameter, float(v), dict(spec.evaluate(v, spec.fixed)))
+        for v in spec.values
+    ]
 
 
 def uniform_average(

@@ -157,12 +157,31 @@ def test_reruns_byte_identical(tmp_path, capsys):
     assert (d1 / "heatmap.csv").read_bytes() == (d2 / "heatmap.csv").read_bytes()
 
 
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DISCORDNET_THREADS", "2")
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threads_below_one_exits_1(tmp_path, capsys, value):
+    code, _, err = run(
+        ["heatmap", "--resolution", "3", "--threads", value, "--out", str(tmp_path)], capsys
+    )
+    assert code == 1
+    assert "--threads must be >= 1" in err and "Traceback" not in err
+    assert not (tmp_path / "heatmap.csv").exists()
+
+
+def test_threads_env_is_ignored(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DISCORDNET_THREADS", "abc")
     code, _, _ = run(
-        ["heatmap", "--resolution", "3", "--out", str(tmp_path)], capsys
+        ["heatmap", "--resolution", "3", "--threads", "2", "--out", str(tmp_path)], capsys
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [["heatmap"], ["robustness", "memory"]])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_resolution_below_one_exits_1(tmp_path, capsys, argv, value):
+    code, _, err = run([*argv, "--resolution", value, "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert "--resolution must be >= 1" in err
+    assert not list(tmp_path.iterdir())
 
 
 def _write_scaling_cache(out, seed=0, inner_budget="full", mixedness="purity", ns=(2, 3, 4, 5)):

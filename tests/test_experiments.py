@@ -53,6 +53,37 @@ def test_heatmap_shapes_and_symmetry():
     assert np.max(maps["gqd"][:, 0]) < 1e-8
 
 
+@pytest.mark.parametrize("resolution", [4, 5])
+def test_heatmap_orbit_reuse_matches_every_point(resolution):
+    from discordnet import protocol
+    from discordnet.correlations import discord_asym, gqd_min
+
+    maps = ex.heatmaps(resolution=resolution, budget=FAST_BUDGET)
+    for i, t1 in enumerate(maps["theta"]):
+        for j, t2 in enumerate(maps["theta"]):
+            rho = protocol.final_state_closed_form(t1, t2)
+            direct = {
+                "d_m1_m2": discord_asym(rho, "M1", "M2", budget=FAST_BUDGET).value,
+                "d_m2_m1": discord_asym(rho, "M2", "M1", budget=FAST_BUDGET).value,
+                "gqd": gqd_min(rho, budget=FAST_BUDGET).value,
+            }
+            for key, want in direct.items():
+                assert abs(maps[key][i, j] - want) < 1e-9, (key, i, j)
+
+
+@pytest.mark.parametrize("resolution, orbits", [(4, 3), (5, 6)])
+def test_heatmap_solves_once_per_orbit(monkeypatch, resolution, orbits):
+    calls, real = [], ex.gqd_min
+
+    def counted(rho, **kwargs):
+        calls.append(rho)
+        return real(rho, **kwargs)
+
+    monkeypatch.setattr(ex, "gqd_min", counted)
+    ex.heatmaps(resolution=resolution, budget=FAST_BUDGET)
+    assert len(calls) == orbits
+
+
 def test_measurement_window_zero_width_equals_peak():
     avg, peak = ex.measurement_window_average(width=0.0, budget=FAST_BUDGET)
     assert avg == peak

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discordnet import protocol, states
 from discordnet.channels import correlated_dephasing
@@ -19,6 +21,23 @@ def test_circuit_matches_closed_form_random_angles(rng):
         closed = protocol.final_state_closed_form(t1, t2, p1, p2)
         assert out.final_state.labels == closed.labels
         assert np.max(np.abs(out.final_state.matrix - closed.matrix)) < 1e-10
+
+
+_ANGLE = st.floats(0.0, math.pi)
+_Z_ON_M1 = np.diag([1.0, 1.0, -1.0, -1.0])
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+@settings(deadline=None, derandomize=True)
+@given(_ANGLE, _ANGLE)
+def test_closed_form_heatmap_symmetries(t1, t2):
+    # At phi = 0: theta1 -> pi - theta1 is Z on M1, and exchanging the angles
+    # exchanges the memories.  heatmaps() fills its grid from these identities.
+    rho = protocol.final_state_closed_form(t1, t2).matrix
+    mirrored = protocol.final_state_closed_form(math.pi - t1, t2).matrix
+    swapped = protocol.final_state_closed_form(t2, t1).matrix
+    assert np.max(np.abs(mirrored - _Z_ON_M1 @ rho @ _Z_ON_M1)) < 1e-14
+    assert np.max(np.abs(swapped - _SWAP @ rho @ _SWAP)) < 1e-14
 
 
 def test_outcome_probability_quarter():

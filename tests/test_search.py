@@ -151,10 +151,9 @@ def test_run_sweep_order_and_payload():
         evaluate=lambda v, fixed: {"double": 2 * v + fixed["shift"]},
         fixed={"shift": 1.0},
     )
-    for threads in (1, 3):
-        recs = run_sweep(spec, threads=threads)
-        assert [r.value for r in recs] == [0.0, 0.5, 1.0]
-        assert [r.payload["double"] for r in recs] == [1.0, 2.0, 3.0]
+    recs = run_sweep(spec)
+    assert [r.value for r in recs] == [0.0, 0.5, 1.0]
+    assert [r.payload["double"] for r in recs] == [1.0, 2.0, 3.0]
 
 
 def test_sweep_requires_values():
