@@ -157,16 +157,6 @@ def test_reruns_byte_identical(tmp_path, capsys):
     assert (d1 / "heatmap.csv").read_bytes() == (d2 / "heatmap.csv").read_bytes()
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
-def test_threads_below_one_exits_1(tmp_path, capsys, value):
-    code, _, err = run(
-        ["heatmap", "--resolution", "3", "--threads", value, "--out", str(tmp_path)], capsys
-    )
-    assert code == 1
-    assert "--threads must be >= 1" in err and "Traceback" not in err
-    assert not (tmp_path / "heatmap.csv").exists()
-
-
 def test_threads_env_is_ignored(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DISCORDNET_THREADS", "abc")
     code, _, _ = run(
@@ -175,12 +165,13 @@ def test_threads_env_is_ignored(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
-@pytest.mark.parametrize("argv", [["heatmap"], ["robustness", "memory"]])
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_resolution_below_one_exits_1(tmp_path, capsys, argv, value):
-    code, _, err = run([*argv, "--resolution", value, "--out", str(tmp_path)], capsys)
+@pytest.mark.parametrize("command", [["heatmap"], ["robustness", "memory"]])
+@pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--threads", "-2"),
+                                         ("--resolution", "0"), ("--resolution", "-3")])
+def test_threads_or_resolution_below_one_exits_1(tmp_path, capsys, command, flag, value):
+    code, _, err = run([*command, flag, value, "--out", str(tmp_path)], capsys)
     assert code == 1
-    assert "--resolution must be >= 1" in err
+    assert f"{flag} must be >= 1" in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
 
 
