@@ -6,7 +6,7 @@ experiments; results go to stdout and, for experiments, to CSV/JSON files
 with a reproducibility manifest.
 
 Exit codes: 0 success, 1 configuration error (bad flags, bad config file,
-invalid parameters), 2 numerical or I/O failure during computation.
+invalid parameters), 2 an exception during computation (numerical or I/O).
 """
 
 from __future__ import annotations
@@ -309,18 +309,9 @@ def _cmd_census(args) -> None:
 
 def _cmd_heatmap(args) -> None:
     grids = experiments.heatmaps(resolution=args.resolution, seed=args.seed)
-    records = []
-    for i, t1 in enumerate(grids["theta"]):
-        for j, t2 in enumerate(grids["theta"]):
-            records.append(
-                {
-                    "theta1": float(t1),
-                    "theta2": float(t2),
-                    "d_m1_m2": float(grids["d_m1_m2"][i, j]),
-                    "d_m2_m1": float(grids["d_m2_m1"][i, j]),
-                    "gqd": float(grids["gqd"][i, j]),
-                }
-            )
+    records = _grid_records(
+        grids, "theta1", "theta2", grids["theta"], grids["theta"], ("d_m1_m2", "d_m2_m1", "gqd")
+    )
     _emit(args, "heatmap", {"heatmap": records})
 
 
@@ -334,10 +325,7 @@ def _cmd_robustness(args) -> None:
         _emit(
             args,
             "robustness_carrier",
-            {
-                "lambda_sweep": [{"lambda": r.value, **r.payload} for r in lam],
-                "eta_sweep": [{"eta": r.value, **r.payload} for r in eta],
-            },
+            {"lambda_sweep": lam, "eta_sweep": eta},
         )
     elif args.kind == "memory":
         panels = experiments.memory_robustness(resolution=args.resolution, seed=args.seed)
@@ -468,6 +456,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ConfigError(f"--{flag} must be >= 1, got {value}")
+        for flag in ("step", "p_step"):
+            value = getattr(args, flag, None)
+            if value is not None and not 0 < value <= 1:  # also rejects nan and inf
+                raise ConfigError(f"--{flag.replace('_', '-')} must be in (0, 1], got {value}")
+        if args.command == "scaling" and not 2 <= args.n_min <= args.n_max <= 6:
+            raise ConfigError(
+                f"scaling needs 2 <= --n-min <= --n-max <= 6, got {args.n_min} and {args.n_max}"
+            )
+        if args.command == "census" and args.n < 2:
+            raise ConfigError(f"--n must be >= 2, got {args.n}")
+        if args.command == "fits" and not 4 <= args.n_max <= 6:
+            raise ConfigError(f"--n-max must be between 4 and 6, got {args.n_max}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,12 +2,12 @@
 asymmetric quantum discord, relative entropy and global quantum discord
 (GQD), each with its internal minimization over local projective bases.
 
-The basis searches are grid + multistart Nelder-Mead.  Objective evaluation
-is vectorized over batches of candidate bases, which is what makes the
-nested protocol optimizations elsewhere in the package tractable: the grids
-are evaluated in chunks, and the Nelder-Mead starts of one search advance in
-lockstep (``search._nelder_mead``), so each simplex step of all starts costs
-one batched call.  A batch row equals the one-point value bit for bit, so the
+The basis searches are a grid scan followed by ``search.multistart``.
+Objective evaluation is vectorized over batches of candidate bases, which is
+what makes the nested protocol optimizations elsewhere in the package
+tractable: the grids are evaluated in chunks, and the Nelder-Mead starts of
+one search advance in lockstep, so each simplex step of all starts costs one
+batched call.  A batch row equals the one-point value bit for bit, so the
 lockstep search returns what one scipy Nelder-Mead per start would.
 """
 
@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .linalg import EIGENVALUE_FLOOR
-from .search import _nelder_mead
+from .search import multistart
 from .states import DensityMatrix, StateError, fold_bloch, partial_trace
 
 # Correlation values in (-NEGATIVE_CLAMP, 0) are reported as exactly 0.
@@ -161,8 +161,9 @@ class DiscordResult:
 class Budget:
     """Search effort knobs for the internal basis minimizations."""
 
-    grid_per_axis: int  # theta x phi points per qubit on the joint grid
-    joint_grid_max_qubits: int  # joint tensor grid only up to this many qubits
+    # theta x phi points per qubit on the joint grid for n = 2, 3, ... qubits;
+    # no joint grid past the end.  The discord grid uses max(joint_grid[0], 13).
+    joint_grid: tuple[int, ...]
     sym_grid: int  # theta x phi points for the symmetric (tied-basis) grid
     nm_starts: int  # refinements launched from the best grid points
     random_starts: int  # extra seeded random restarts
@@ -170,9 +171,8 @@ class Budget:
     fatol: float = 1e-10
 
 
-FULL_BUDGET = Budget(grid_per_axis=25, joint_grid_max_qubits=2, sym_grid=41, nm_starts=5, random_starts=4)
-FAST_BUDGET = Budget(grid_per_axis=9, joint_grid_max_qubits=2, sym_grid=21, nm_starts=3, random_starts=2)
-FULL3_GRID = 9  # per-qubit grid resolution used for 3-qubit joint grids at full budget
+FULL_BUDGET = Budget(joint_grid=(25, 9), sym_grid=41, nm_starts=5, random_starts=4)
+FAST_BUDGET = Budget(joint_grid=(9,), sym_grid=21, nm_starts=3, random_starts=2)
 
 _BUDGETS = {"full": FULL_BUDGET, "fast": FAST_BUDGET}
 
@@ -253,10 +253,9 @@ def gqd_min(
 ) -> DiscordResult:
     """Global quantum discord: minimize the pinching objective over local bases.
 
-    Strategy: a coarse joint grid for small systems, a symmetric tied-basis
-    grid as warm start for larger ones, then multistart Nelder-Mead in the
-    full 2N-dimensional angle space, its starts advanced in lockstep with one
-    batched objective call per step.
+    Strategy: a symmetric tied-basis grid, a coarse joint grid for the sizes
+    the budget lists, then ``search.multistart`` in the full 2N-dimensional
+    angle space.
     """
     b = _resolve_budget(budget)
     n = rho.n_qubits
@@ -275,14 +274,9 @@ def gqd_min(
     _, sym_best = _grid_minimum(obj, sym_full, n, max(2, b.nm_starts - 1))
     starts.extend(sym_best)
 
-    # Joint tensor grid where the dimension allows it.
-    if n <= b.joint_grid_max_qubits:
-        pts = _joint_grid(n, b.grid_per_axis)
-        _, best = _grid_minimum(obj, pts, n, b.nm_starts)
-        starts.extend(best)
-    elif n == 3 and b is FULL_BUDGET:
-        pts = _joint_grid(n, FULL3_GRID)
-        _, best = _grid_minimum(obj, pts, n, b.nm_starts)
+    # Joint tensor grid where the budget lists one for this size.
+    if n - 2 < len(b.joint_grid):
+        _, best = _grid_minimum(obj, _joint_grid(n, b.joint_grid[n - 2]), n, b.nm_starts)
         starts.extend(best)
 
     for _ in range(b.random_starts):
@@ -290,25 +284,16 @@ def gqd_min(
             np.concatenate([rng.uniform(0, math.pi, n), rng.uniform(0, 2 * math.pi, n)])
         )
 
-    best_val = math.inf
-    best_x = starts[0]
-    converged = True
-    refined = _nelder_mead(
+    res = multistart(
         lambda x: obj.batch(x[:, :n], x[:, n:]), starts, b.xatol, b.fatol, 400 * 2 * n
     )
-    for res in refined:
-        converged = converged and bool(res.success)
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = np.asarray(res.x)
-
-    thetas, phis = fold_bloch(best_x[:n], best_x[n:])
+    thetas, phis = fold_bloch(res.argopt[:n], res.argopt[n:])
     basis = {lab: (float(t), float(p)) for lab, t, p in zip(rho.labels, thetas, phis)}
     return DiscordResult(
-        value=max(best_val, 0.0),
+        value=max(res.value, 0.0),
         basis=basis,
         evaluations=obj.evaluations,
-        converged=converged,
+        converged=res.converged,
     )
 
 
@@ -356,21 +341,16 @@ def conditional_entropy_min(
     b = _resolve_budget(budget)
     obj = _DiscordObjective(rho, measured)
     rng = np.random.default_rng(seed)
-    g = max(b.grid_per_axis, 13)
+    g = max(b.joint_grid[:1] + (13,))
     tgrid, pgrid = np.meshgrid(_theta_grid(g), _phi_grid(g), indexing="ij")
     vals = obj.batch(tgrid.ravel(), pgrid.ravel())
     order = np.argsort(vals)[: b.nm_starts]
     starts = [np.array([tgrid.ravel()[i], pgrid.ravel()[i]]) for i in order]
     for _ in range(b.random_starts):
         starts.append(np.array([rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)]))
-    best_val, best_x, ok = math.inf, starts[0], True
-    refined = _nelder_mead(lambda x: obj.batch(x[:, 0], x[:, 1]), starts, b.xatol, b.fatol, 800)
-    for res in refined:
-        ok = ok and bool(res.success)
-        if res.fun < best_val:
-            best_val, best_x = float(res.fun), np.asarray(res.x)
-    thetas, phis = fold_bloch(best_x[:1], best_x[1:2])
-    return best_val, (float(thetas[0]), float(phis[0])), obj.evaluations, ok
+    res = multistart(lambda x: obj.batch(x[:, 0], x[:, 1]), starts, b.xatol, b.fatol, 800)
+    thetas, phis = fold_bloch(res.argopt[:1], res.argopt[1:2])
+    return res.value, (float(thetas[0]), float(phis[0])), obj.evaluations, res.converged
 
 
 def discord_asym(

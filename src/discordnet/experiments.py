@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit, minimize_scalar
 
 from . import correlations, protocol, search, states
 from .channels import correlated_dephasing
@@ -26,8 +25,7 @@ from .states import DensityMatrix, fidelity, fold_bloch, partial_trace
 # Reduced basis-search budget used while an outer angle search is running;
 # the final reported optimum is always re-evaluated at the full budget.
 REDUCED_BUDGET = Budget(
-    grid_per_axis=13,
-    joint_grid_max_qubits=2,
+    joint_grid=(13,),
     sym_grid=13,
     nm_starts=3,
     random_starts=0,
@@ -85,6 +83,8 @@ def symmetric_theta_max(
 
     Returns (argmax theta, value re-evaluated at the ``final`` budget).
     """
+    from scipy.optimize import minimize_scalar
+
     def obj(theta: float, budget: Budget) -> float:
         return protocol_gqd(
             [theta] * n, interactions=interactions, budget=budget, seed=seed
@@ -330,70 +330,62 @@ def memory_window_average(
     return search.uniform_average(obj, [math.pi / 2], width, samples=samples)
 
 
+def _carrier_output(carriers: DensityMatrix | None = None) -> DensityMatrix:
+    """Memory output of the two-pair protocol at the optimal carrier basis."""
+    cfg = protocol.standard_config(thetas=[OPT_THETA, OPT_THETA], carriers=carriers)
+    return protocol.run_circuit(cfg).final_state
+
+
 def carrier_mixing_sweep(
     lambdas: Sequence[float] | None = None,
     budget: Budget = FAST_BUDGET,
     seed: int = 0,
-) -> list[search.SweepRecord]:
+) -> list[dict[str, float]]:
     """GQD against the carrier mixing weight: fixed optimal basis vs
-    re-optimized basis at every point."""
+    re-optimized basis at every point; one record per weight, in order."""
     if lambdas is None:
         lambdas = np.round(np.arange(0.0, 1.0 + 1e-9, 0.01), 10)
-    base = protocol.run_circuit(
-        protocol.standard_config([OPT_THETA, OPT_THETA])
-    ).final_state
-    opt_basis = gqd_min(base, budget=FULL_BUDGET, seed=seed).basis
-
-    def evaluate(lam: float, fixed: Mapping[str, Any]) -> Mapping[str, Any]:
-        cfg = protocol.standard_config(
-            thetas=[OPT_THETA, OPT_THETA], carriers=states.mixed_carriers(lam)
-        )
-        rho = protocol.run_circuit(cfg).final_state
-        return {
+    opt_basis = gqd_min(_carrier_output(), budget=FULL_BUDGET, seed=seed).basis
+    records = []
+    for lam in map(float, lambdas):
+        rho = _carrier_output(states.mixed_carriers(lam))
+        records.append({
+            "lambda": lam,
             "gqd_fixed_basis": max(gqd(rho, opt_basis), 0.0),
             "gqd_reoptimized": gqd_min(rho, budget=budget, seed=seed).value,
-        }
-
-    spec = search.SweepSpec("lambda", tuple(float(v) for v in lambdas), evaluate)
-    return search.run_sweep(spec)
+        })
+    return records
 
 
 def carrier_bias_sweep(
     etas: Sequence[float] | None = None,
     budget: Budget = FAST_BUDGET,
     seed: int = 0,
-) -> list[search.SweepRecord]:
-    """GQD against the carrier bias weight eta (re-optimized basis)."""
+) -> list[dict[str, float]]:
+    """GQD against the carrier bias weight eta (re-optimized basis); one
+    record per weight, in order."""
     if etas is None:
         etas = np.round(np.arange(0.0, 1.0 + 1e-9, 0.01), 10)
-
-    def evaluate(eta: float, fixed: Mapping[str, Any]) -> Mapping[str, Any]:
-        cfg = protocol.standard_config(
-            thetas=[OPT_THETA, OPT_THETA], carriers=states.biased_carriers(eta)
-        )
-        rho = protocol.run_circuit(cfg).final_state
-        return {"gqd": gqd_min(rho, budget=budget, seed=seed).value}
-
-    spec = search.SweepSpec("eta", tuple(float(v) for v in etas), evaluate)
-    return search.run_sweep(spec)
+    return [
+        {"eta": eta, "gqd": gqd_min(_carrier_output(states.biased_carriers(eta)),
+                                    budget=budget, seed=seed).value}
+        for eta in map(float, etas)
+    ]
 
 
 def anticorrelated_max(budget: Budget = FULL_BUDGET, seed: int = 0) -> float:
     """Protocol GQD with anti-correlated carriers at the standard optimal basis."""
-    cfg = protocol.standard_config(
-        thetas=[OPT_THETA, OPT_THETA], carriers=states.anticorrelated_carriers()
-    )
-    return gqd_min(protocol.run_circuit(cfg).final_state, budget=budget, seed=seed).value
+    rho = _carrier_output(states.anticorrelated_carriers())
+    return gqd_min(rho, budget=budget, seed=seed).value
 
 
-def _carrier_refine(obj: Callable[[np.ndarray], float]):
-    """Short Nelder-Mead maximization of obj over carrier angles [t1, t2, p1, p2],
-    from the noiseless optimum."""
-    (res,) = search._nelder_mead(
-        search._pointwise(lambda x: -obj(x)),
-        [np.array([OPT_THETA, OPT_THETA, 0.0, 0.0])], xatol=1e-4, fatol=1e-8, maxfev=60,
+def _refine_max(obj: Callable[[np.ndarray], float], x0: Sequence[float]) -> np.ndarray:
+    """Argmax of a short (60-evaluation) Nelder-Mead maximization of obj from x0."""
+    res = search.multistart(
+        lambda pts: np.array([-obj(x) for x in pts], dtype=float),
+        [np.array(x0, dtype=float)], xatol=1e-4, fatol=1e-8, maxfev=60,
     )
-    return res
+    return res.argopt
 
 
 def memory_robustness(
@@ -441,9 +433,9 @@ def memory_robustness(
                 )
                 return gqd_min(rho, budget=reopt_inner, seed=seed).value
 
-            res = _carrier_refine(obj)
+            x = _refine_max(obj, [OPT_THETA, OPT_THETA, 0.0, 0.0])
             rho = pure_state_run(
-                tm_axis[i], pm_axis[j], carrier_angles=([res.x[0], res.x[1]], [res.x[2], res.x[3]])
+                tm_axis[i], pm_axis[j], carrier_angles=([x[0], x[1]], [x[2], x[3]])
             )
             return gqd_min(rho, budget=budget, seed=seed).value
 
@@ -468,12 +460,12 @@ def memory_robustness(
                 rho2 = protocol.run_circuit(cfg2).final_state
                 return gqd_min(rho2, budget=reopt_inner, seed=seed).value
 
-            res = _carrier_refine(obj)
+            x = _refine_max(obj, [OPT_THETA, OPT_THETA, 0.0, 0.0])
             # re-evaluate at the same budget as the fixed-basis value so the
             # two surfaces are comparable
             cfg3 = protocol.standard_config(
-                thetas=[res.x[0], res.x[1]],
-                phis=[res.x[2], res.x[3]],
+                thetas=[x[0], x[1]],
+                phis=[x[2], x[3]],
                 memories=states.mixed_memories(a_axis[i], a_axis[j]),
             )
             refined = gqd_min(
@@ -570,6 +562,7 @@ def ghz_study(
     asymmetric state, so the inner budget defaults to the fast full-featured
     one rather than the outer-search budget.
     """
+    from scipy.optimize import minimize_scalar
 
     def joint_obj(theta: float, budget: Budget) -> float:
         out = protocol.run_ghz_variant(theta, theta, 0.0, 0.0)
@@ -652,7 +645,6 @@ def noisy_max(
         random_starts=0,
         tolerance=1e-5,
         maximize=True,
-        symmetric=True,
         symmetry_groups=((0, 1), (2, 3)),
         seed=seed,
     )
@@ -679,7 +671,6 @@ def best_fidelity_state(
         random_starts=1,
         tolerance=1e-6,
         maximize=True,
-        symmetric=True,
         symmetry_groups=((0, 1), (2, 3)),
         seed=seed,
     )
@@ -742,11 +733,8 @@ def noisy_max_estimate(
     thetas = np.linspace(0.0, math.pi, theta_grid)
     coarse = [family(float(t), inner) for t in thetas]
     t0 = float(thetas[int(np.argmax(coarse))])
-    (res,) = search._nelder_mead(
-        search._pointwise(lambda v: -family(float(v[0]), inner)),
-        [np.array([t0])], xatol=1e-4, fatol=1e-8, maxfev=60,
-    )
-    branch = family(float(np.clip(res.x[0], 0.0, math.pi)), final)
+    theta = _refine_max(lambda v: family(float(v[0]), inner), [t0])[0]
+    branch = family(float(np.clip(theta, 0.0, math.pi)), final)
     return max(branch, rho0_curve_point(p, mu, budget=final, seed=seed))
 
 
@@ -848,6 +836,8 @@ class FitResult:
 def scaling_fits(rows: Sequence[ScalingRow], pair_max: float = PAIR_DISCORD_MAX) -> list[FitResult]:
     """Linear fit of the per-size maximum, and an exponential fit of the
     excess over the pairwise-additive baseline pair_max * (N - 1)."""
+    from scipy.optimize import curve_fit
+
     if len(rows) < 3:
         raise ValueError("need at least 3 points to fit")
     ns = np.array([r.n for r in rows], dtype=float)

@@ -1,29 +1,29 @@
-"""Derivative-free optimization over angle vectors, parameter sweeps, averaging.
+"""Derivative-free optimization over angle vectors, and window averages.
 
-The optimizers here are deliberately simple: a deterministic coarse grid scan
-followed by multistart Nelder-Mead refinement.  Objectives are either plain
-callables ``f(x) -> float`` on a vector of angles, or additionally provide a
-``batch`` attribute evaluating many points at once (used to vectorize the grid
-stage).
+``multistart`` is the package's one refinement entry point: Nelder-Mead from
+several starts, returning the first start that reaches the lowest value.
+``optimize`` puts a deterministic coarse grid scan in front of it, and the
+inner basis searches of ``correlations`` and the short carrier-angle
+refinements of ``experiments`` call it directly.  Its objective is a batch
+function mapping a (k, d) block of points to their k values.
 
-Every Nelder-Mead in the package runs through ``_nelder_mead``: scipy's
-non-adaptive, unbounded ``_minimize_neldermead`` rewritten as one generator
-per start, advanced in lockstep so that each step evaluates the pending points
-of all starts in one batched objective call.  It takes the same steps in the
-same order, with the same ``maxfev`` cut, so its results are bit-identical to
+Every Nelder-Mead runs through ``_nelder_mead``: scipy's non-adaptive,
+unbounded ``_minimize_neldermead`` rewritten as one generator per start,
+advanced in lockstep so that each step evaluates the pending points of all
+starts in one batched objective call.  It takes the same steps in the same
+order, with the same ``maxfev`` cut, so its results are bit-identical to
 ``scipy.optimize.minimize(method="Nelder-Mead")`` whenever a batch row equals
 the one-point value.
 
-Sweeps and averages evaluate their points one after another in the calling
-thread; nothing in this module starts a thread or a process.
+Nothing in this module starts a thread or a process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,9 +40,8 @@ class SearchSpec:
     ``bounds`` only shape the start points: the grid and the random starts
     lie in the box, but the Nelder-Mead refinement is unbounded and may leave
     it, so an objective must accept any finite point (fold angles if needed).
-    If ``symmetric`` is set, all coordinates within each group listed in
-    ``symmetry_groups`` are tied equal during the grid stage (refinement is
-    always unrestricted unless ``tie_refinement`` is set).
+    The grid stage ties all coordinates within each group listed in
+    ``symmetry_groups``; the refinement is always unrestricted.
     """
 
     objective: Callable[[np.ndarray], float]
@@ -53,10 +52,7 @@ class SearchSpec:
     random_starts: int = 2
     tolerance: float = 1e-7
     maximize: bool = False
-    symmetric: bool = False
     symmetry_groups: tuple[tuple[int, ...], ...] = ()
-    tie_refinement: bool = False
-    batch_objective: Callable[[np.ndarray], np.ndarray] | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -69,6 +65,10 @@ class SearchSpec:
                 raise SearchError("bounds must be finite with lo < hi")
         if self.grid_resolution < 2:
             raise SearchError("grid resolution must be >= 2")
+        if min(self.multistarts, self.random_starts) < 0:
+            raise SearchError("multistarts and random_starts must be >= 0")
+        if self.multistarts + self.random_starts < 1:
+            raise SearchError("need at least one refinement start")
 
 
 @dataclass(frozen=True)
@@ -76,19 +76,12 @@ class SearchResult:
     argopt: np.ndarray
     value: float
     evaluations: int
-    trace: tuple[tuple[float, ...], ...]  # (value, *point) per refinement start
-
-
-def _sign(spec: SearchSpec) -> float:
-    return -1.0 if spec.maximize else 1.0
+    converged: bool  # every refinement start stopped on its tolerances
 
 
 def _grid_points(spec: SearchSpec) -> np.ndarray:
-    """Tensor grid over the box, with optional symmetry tying."""
-    if spec.symmetric and spec.symmetry_groups:
-        groups = spec.symmetry_groups
-    else:
-        groups = tuple((i,) for i in range(spec.dimension))
+    """Tensor grid over the box, one axis per symmetry group."""
+    groups = spec.symmetry_groups or tuple((i,) for i in range(spec.dimension))
     axes = []
     for group in groups:
         lo, hi = spec.bounds[group[0]]
@@ -100,16 +93,6 @@ def _grid_points(spec: SearchSpec) -> np.ndarray:
         for idx in group:
             pts[:, idx] = flat[:, g]
     return pts
-
-
-def _evaluate(spec: SearchSpec, pts: np.ndarray) -> np.ndarray:
-    if spec.batch_objective is not None:
-        vals = np.asarray(spec.batch_objective(pts), dtype=float)
-    else:
-        vals = np.array([spec.objective(p) for p in pts], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise SearchError("objective returned a non-finite value")
-    return vals
 
 
 class _Simplex(NamedTuple):
@@ -239,17 +222,45 @@ def _nelder_mead(
     return results
 
 
-def _pointwise(f: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch form of a one-point objective: evaluates the rows one by one."""
-    return lambda pts: np.array([f(x) for x in pts], dtype=float)
+def multistart(
+    batch: Callable[[np.ndarray], np.ndarray],
+    starts: Sequence[np.ndarray],
+    xatol: float,
+    fatol: float,
+    maxfev: int,
+) -> SearchResult:
+    """Minimize by Nelder-Mead from every start, in lockstep.
+
+    Returns the first start that reaches the lowest value, the evaluations of
+    all starts, and whether every start stopped on its tolerances rather
+    than on ``maxfev``.
+    """
+    if len(starts) == 0:
+        raise SearchError("multistart needs at least one start")
+    runs = _nelder_mead(batch, starts, xatol, fatol, maxfev)
+    best = min(runs, key=lambda res: res.fun)
+    return SearchResult(
+        np.asarray(best.x, dtype=float),
+        float(best.fun),
+        sum(res.nfev for res in runs),
+        all(res.success for res in runs),
+    )
 
 
 def optimize(spec: SearchSpec) -> SearchResult:
-    """Grid scan + multistart Nelder-Mead; deterministic for a fixed seed."""
-    sign = _sign(spec)
+    """Grid scan + multistart Nelder-Mead; deterministic for a fixed seed.
+
+    The best grid point is kept unless the refinement is strictly lower.
+    """
+    sign = -1.0 if spec.maximize else 1.0
+
+    def batch(pts: np.ndarray) -> np.ndarray:
+        return sign * np.array([spec.objective(p) for p in pts], dtype=float)
+
     pts = _grid_points(spec)
-    vals = sign * _evaluate(spec, pts)
-    evaluations = len(pts)
+    vals = batch(pts)
+    if not np.all(np.isfinite(vals)):
+        raise SearchError("objective returned a non-finite value")
 
     order = np.argsort(vals, kind="stable")
     starts = [pts[i] for i in order[: spec.multistarts]]
@@ -258,73 +269,13 @@ def optimize(spec: SearchSpec) -> SearchResult:
     hi = np.array([b[1] for b in spec.bounds])
     for _ in range(spec.random_starts):
         starts.append(lo + rng.random(spec.dimension) * (hi - lo))
+    refined = multistart(batch, starts, spec.tolerance, spec.tolerance ** 2, 400 * spec.dimension)
 
-    def fun(x: np.ndarray) -> float:
-        return sign * float(spec.objective(np.asarray(x, dtype=float)))
-
-    groups = spec.symmetry_groups if spec.tie_refinement else ()
-
-    def untie(z: np.ndarray) -> np.ndarray:
-        """Full point from one value per symmetry group."""
-        x = np.empty(spec.dimension)
-        for g, group in enumerate(groups):
-            x[list(group)] = z[g]
-        return x
-
-    if groups:
-        refine_starts = [np.array([x0[group[0]] for group in groups]) for x0 in starts]
-        objective = _pointwise(lambda z: fun(untie(z)))
-    else:
-        refine_starts = starts
-        objective = _pointwise(fun)
-    dim = len(groups) or spec.dimension
-    refined = _nelder_mead(objective, refine_starts, spec.tolerance, spec.tolerance ** 2, 400 * dim)
-
-    best_x = pts[order[0]].copy()
-    best_v = float(vals[order[0]])
-    trace: list[tuple[float, ...]] = []
-    for res in refined:
-        xr = untie(res.x) if groups else np.asarray(res.x, dtype=float)
-        evaluations += int(res.nfev)
-        fv = float(res.fun)
-        trace.append((sign * fv, *xr))
-        if fv < best_v:
-            best_v = fv
-            best_x = xr
-    return SearchResult(best_x, sign * best_v, evaluations, tuple(trace))
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-parameter sweep with an arbitrary per-point evaluator.
-
-    ``evaluate(value, fixed) -> mapping`` produces the record payload for one
-    grid point of the swept parameter.
-    """
-
-    parameter: str
-    values: tuple[float, ...]
-    evaluate: Callable[[float, Mapping[str, Any]], Mapping[str, Any]]
-    fixed: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise SearchError("sweep range must be nonempty")
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    parameter: str
-    value: float
-    payload: Mapping[str, Any]
-
-
-def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
-    """Evaluate the sweep grid in order; one record per grid value."""
-    return [
-        SweepRecord(spec.parameter, float(v), dict(spec.evaluate(v, spec.fixed)))
-        for v in spec.values
-    ]
+    best, value = pts[order[0]].copy(), float(vals[order[0]])
+    if refined.value < value:
+        best, value = refined.argopt, refined.value
+    evaluations = len(pts) + refined.evaluations
+    return SearchResult(best, sign * value, evaluations, refined.converged)
 
 
 def uniform_average(

@@ -18,7 +18,6 @@ from . import linalg
 
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
-NORM_TOL = 1e-12
 
 
 class StateError(ValueError):

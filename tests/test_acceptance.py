@@ -208,7 +208,7 @@ def test_criterion_5_robustness():
     ok = (
         abs(reduction - 2.0) < 1.0
         and abs(mem_avg - 0.2189) < 5e-4
-        and all(r.payload["gqd"] < 1e-6 for r in eta)
+        and all(r["gqd"] < 1e-6 for r in eta)
         and abs(anti - 0.2198) < 1e-3
     )
     record_criterion(
@@ -220,7 +220,7 @@ def test_criterion_5_robustness():
     assert abs(reduction - 2.0) < 1.0
     assert abs(mem_avg - 0.2189) < 5e-4
     for r in eta:
-        assert r.payload["gqd"] < 1e-6
+        assert r["gqd"] < 1e-6
     assert abs(anti - 0.2198) < 1e-3
 
 
@@ -234,7 +234,7 @@ def test_criterion_5_mixing_average():
     recs = ex.carrier_mixing_sweep(
         lambdas=np.round(np.linspace(0.0, 0.1, 11), 10), budget=FAST_BUDGET
     )
-    avg = float(np.mean([r.payload["gqd_reoptimized"] for r in recs]))
+    avg = float(np.mean([r["gqd_reoptimized"] for r in recs]))
     record_criterion(
         "05x1", abs(avg - 0.1687) <= 2e-3,
         f"carrier-mixing average over [0, 0.1] = {avg:.4f} vs stated 0.1687 "
@@ -251,7 +251,7 @@ def test_criterion_5_mixing_average():
 )
 def test_criterion_5_full_mixing():
     recs = ex.carrier_mixing_sweep(lambdas=(1.0,), budget=FAST_BUDGET)
-    value = recs[0].payload["gqd_reoptimized"]
+    value = recs[0]["gqd_reoptimized"]
     record_criterion(
         "05x2", value < 1e-6,
         f"GQD at full carrier mixing = {value:.4f} vs stated < 1e-6 "
@@ -270,7 +270,7 @@ def test_criterion_6_fixed_vs_reoptimized(purity_grid_panel):
         lambdas=np.round(np.linspace(0.0, 1.0, 11), 10), budget=FAST_BUDGET
     )
     lam_diff = max(
-        abs(r.payload["gqd_fixed_basis"] - r.payload["gqd_reoptimized"])
+        abs(r["gqd_fixed_basis"] - r["gqd_reoptimized"])
         for r in recs
     )
     c = purity_grid_panel

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +177,36 @@ def test_threads_or_resolution_below_one_exits_1(tmp_path, capsys, command, flag
     assert code == 1
     assert f"{flag} must be >= 1" in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, message", [
+    ("robustness carrier --step 0", "--step must be in (0, 1]"),
+    ("robustness carrier --step -0.1", "--step must be in (0, 1]"),
+    ("robustness carrier --step nan", "--step must be in (0, 1]"),
+    ("robustness carrier --step 1.5", "--step must be in (0, 1]"),
+    ("noise --p-step 0", "--p-step must be in (0, 1]"),
+    ("noise --p-step -1", "--p-step must be in (0, 1]"),
+    ("noise --p-step inf", "--p-step must be in (0, 1]"),
+    ("scaling --n-max 1", "2 <= --n-min <= --n-max <= 6"),
+    ("scaling --n-min 1", "2 <= --n-min <= --n-max <= 6"),
+    ("scaling --n-min 4 --n-max 3", "2 <= --n-min <= --n-max <= 6"),
+    ("scaling --n-max 7", "2 <= --n-min <= --n-max <= 6"),
+    ("census --n 1", "--n must be >= 2"),
+    ("fits --n-max 2", "--n-max must be between 4 and 6"),
+    ("fits --n-max 7", "--n-max must be between 4 and 6"),
+])
+def test_out_of_range_size_or_step_exits_1(tmp_path, capsys, command, message):
+    code, _, err = run([*command.split(), "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert message in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    code = ("import sys, discordnet.cli, discordnet.experiments; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def _write_scaling_cache(out, seed=0, inner_budget="full", mixedness="purity", ns=(2, 3, 4, 5)):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -149,6 +150,15 @@ def test_seed_determinism(reference_state):
     b = gqd_min(reference_state, budget=FAST_BUDGET, seed=3)
     assert a.value == b.value
     assert a.basis == b.basis
+
+
+def test_equal_budget_gives_identical_result():
+    # the search effort depends on the budget's values, not on which object it is
+    rho = states.w_state(3).density()
+    want = gqd_min(rho, budget=FULL_BUDGET, seed=0)
+    got = gqd_min(rho, budget=dataclasses.replace(FULL_BUDGET), seed=0)
+    assert got == want
+    assert want.evaluations > 9 ** 6  # the 3-qubit joint grid of the full budget ran
 
 
 PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))

@@ -87,8 +87,8 @@ def test_measurement_window_zero_width_equals_peak():
 
 def test_carrier_mixing_sweep_endpoints():
     recs = ex.carrier_mixing_sweep(lambdas=(0.0, 0.5, 1.0), budget=FAST_BUDGET)
-    assert [r.value for r in recs] == [0.0, 0.5, 1.0]
-    by_lam = {r.value: r.payload for r in recs}
+    assert [r["lambda"] for r in recs] == [0.0, 0.5, 1.0]
+    by_lam = {r["lambda"]: r for r in recs}
     # both endpoints reach the bipartite maximum; the even mixture is classical
     assert abs(by_lam[0.0]["gqd_reoptimized"] - 0.2198113593729) < 1e-6
     assert abs(by_lam[1.0]["gqd_reoptimized"] - 0.2198113593729) < 1e-6
@@ -100,7 +100,7 @@ def test_carrier_mixing_sweep_endpoints():
 def test_carrier_bias_sweep_endpoints_vanish():
     recs = ex.carrier_bias_sweep(etas=(0.0, 1.0), budget=FAST_BUDGET)
     for r in recs:
-        assert r.payload["gqd"] < 1e-8
+        assert r["gqd"] < 1e-8
 
 
 def test_anticorrelated_carriers_reach_maximum():

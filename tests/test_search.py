@@ -9,11 +9,9 @@ from discordnet.correlations import _DiscordObjective, _GqdObjective
 from discordnet.search import (
     SearchError,
     SearchSpec,
-    SweepSpec,
     _nelder_mead,
-    _pointwise,
+    multistart,
     optimize,
-    run_sweep,
     uniform_average,
 )
 
@@ -27,6 +25,16 @@ def test_quadratic_minimum():
     res = optimize(spec)
     assert abs(res.value) < 1e-10
     assert np.max(np.abs(res.argopt - 0.3)) < 1e-4
+    assert res.converged
+
+
+def test_unbounded_objective_is_not_converged():
+    # a linear objective has no minimum: every start runs out of evaluations
+    spec = SearchSpec(objective=lambda x: float(x[0] + x[1]), dimension=2,
+                      bounds=((-1, 1), (-1, 1)))
+    res = optimize(spec)
+    assert not res.converged
+    assert res.value < -1.0
 
 
 def test_maximize_flag():
@@ -54,7 +62,6 @@ def test_symmetric_grid_ties_coordinates():
         dimension=2,
         bounds=((0, 1), (0, 1)),
         grid_resolution=5,
-        symmetric=True,
         symmetry_groups=((0, 1),),
         multistarts=1,
         random_starts=0,
@@ -77,20 +84,6 @@ def test_determinism():
     r1, r2 = optimize(spec), optimize(spec)
     assert r1.value == r2.value
     assert np.array_equal(r1.argopt, r2.argopt)
-
-
-def test_batch_objective_agrees():
-    def batch(pts):
-        return np.sum((pts - 0.3) ** 2, axis=1)
-
-    spec = SearchSpec(
-        objective=quadratic,
-        dimension=2,
-        bounds=((-1, 1), (-1, 1)),
-        batch_objective=batch,
-    )
-    res = optimize(spec)
-    assert abs(res.value) < 1e-10
 
 
 def test_budget_monotonicity():
@@ -117,6 +110,8 @@ def test_spec_validation():
         SearchSpec(quadratic, 1, ((0.0, 1.0),), grid_resolution=1)
     with pytest.raises(SearchError):
         SearchSpec(quadratic, 2, ((0.0, 1.0),))
+    with pytest.raises(SearchError):
+        SearchSpec(quadratic, 1, ((0.0, 1.0),), multistarts=0, random_starts=0)
 
 
 def test_nonfinite_objective_rejected():
@@ -144,24 +139,11 @@ def test_uniform_average_subset_of_coordinates():
     assert abs(avg - (np.mean(offsets**2) + 5.0)) < 1e-12
 
 
-def test_run_sweep_order_and_payload():
-    spec = SweepSpec(
-        parameter="p",
-        values=(0.0, 0.5, 1.0),
-        evaluate=lambda v, fixed: {"double": 2 * v + fixed["shift"]},
-        fixed={"shift": 1.0},
-    )
-    recs = run_sweep(spec)
-    assert [r.value for r in recs] == [0.0, 0.5, 1.0]
-    assert [r.payload["double"] for r in recs] == [1.0, 2.0, 3.0]
-
-
-def test_sweep_requires_values():
-    with pytest.raises(SearchError):
-        SweepSpec(parameter="p", values=(), evaluate=lambda v, f: {})
-
-
 # -- the lockstep Nelder-Mead against scipy's, bit for bit --------------------
+
+
+def _pointwise(f):
+    return lambda pts: np.array([f(x) for x in pts], dtype=float)
 
 
 def rosenbrock(x):
@@ -237,6 +219,13 @@ def test_lockstep_nelder_mead_is_scipy_bit_for_bit(name):
             assert res.success == want.success, where
             for mine, theirs in zip(res.final_simplex, want.final_simplex):
                 assert np.array_equal(mine, theirs), where
+        # multistart: the first start that reaches the lowest value, the
+        # evaluations of all starts, and converged only when every start did
+        best = multistart(batch, starts, xatol, fatol, maxfev)
+        first = got[int(np.argmin([res.fun for res in got]))]
+        assert np.array_equal(best.argopt, first.x) and best.value == first.fun
+        assert best.evaluations == sum(res.nfev for res in got)
+        assert best.converged == all(res.success for res in got)
 
 
 def test_lockstep_nelder_mead_without_maxiter_is_scipy():
@@ -248,6 +237,17 @@ def test_lockstep_nelder_mead_without_maxiter_is_scipy():
                         options={"xatol": 1e-4, "fatol": 1e-8, "maxfev": maxfev})
         assert np.array_equal(res.x, want.x) and res.fun == want.fun
         assert (res.nfev, res.success) == (want.nfev, want.success)
+
+
+def test_multistart_keeps_the_first_of_tied_starts():
+    # mirrored starts of an even objective take mirrored steps and tie exactly
+    even = _pointwise(lambda x: float(np.sum((np.abs(x) - 0.3) ** 2) + 0.1 * x[0] ** 2))
+    x0 = np.array([0.9, -0.4])
+    for starts in ([x0, -x0], [-x0, x0]):
+        runs = _nelder_mead(even, starts, 1e-7, 1e-10, 800)
+        assert runs[0].fun == runs[1].fun and not np.array_equal(runs[0].x, runs[1].x)
+        best = multistart(even, starts, 1e-7, 1e-10, 800)
+        assert np.array_equal(best.argopt, runs[0].x)
 
 
 def test_objective_batch_rows_equal_one_point_calls():
