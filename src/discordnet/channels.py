@@ -8,7 +8,7 @@ cost at O(4^n) per application.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -83,18 +83,17 @@ _CONTROLLED = {"cz": _controlled(_Z), "ch": _controlled(_H)}
 
 @dataclass(frozen=True)
 class GateSpec:
-    """Controlled-Z / controlled-Hadamard / arbitrary local unitary."""
+    """Controlled-Z or controlled-Hadamard gate between two named qubits."""
 
-    kind: str  # "cz", "ch" or "local"
-    control: str | None = None
-    target: str = ""
-    matrix: np.ndarray | None = field(default=None)
+    kind: str  # "cz" or "ch"
+    control: str
+    target: str
 
     def two_qubit_matrix(self) -> np.ndarray:
         try:
             return _CONTROLLED[self.kind]
         except KeyError:
-            raise ChannelError(f"gate kind {self.kind!r} is not a controlled gate") from None
+            raise ChannelError(f"unknown gate kind {self.kind!r}") from None
 
 
 def _diagonal(u: np.ndarray) -> np.ndarray | None:
@@ -145,11 +144,7 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray, labels: Sequence[str]) -> D
 
 
 def apply_gate(rho: DensityMatrix, gate: GateSpec) -> DensityMatrix:
-    if gate.kind == "local":
-        if gate.matrix is None:
-            raise ChannelError("local gate requires an explicit matrix")
-        return apply_unitary(rho, gate.matrix, [gate.target])
-    if gate.control is None or gate.control == gate.target:
+    if gate.control == gate.target:
         raise ChannelError("controlled gate needs distinct control and target labels")
     t = _conjugate_by(rho, gate.two_qubit_matrix(), [gate.control, gate.target])
     return DensityMatrix(rho.labels, t.reshape(rho.matrix.shape))

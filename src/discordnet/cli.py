@@ -59,11 +59,11 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _float_list(text: str) -> list[float]:
+def _number_list(text: str, cast=float) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated floats, got {text!r}") from exc
+        raise ConfigError(f"expected comma-separated {cast.__name__}s, got {text!r}") from exc
 
 
 def _budget(name: str):
@@ -76,7 +76,10 @@ def _named_state(family: str, n: int | None, params: Sequence[str]) -> states.De
         if "=" not in item:
             raise ConfigError(f"--param expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        kwargs[key.strip()] = float(value)
+        try:
+            kwargs[key.strip()] = float(value)
+        except ValueError:
+            raise ConfigError(f"--param {key.strip()} expects a number, got {value!r}") from None
     if n is not None:
         kwargs["n"] = n
     try:
@@ -140,9 +143,12 @@ def build_parser() -> _Parser:
     p_heat.add_argument("--resolution", type=int, default=61)
 
     p_rob = sub.add_parser("robustness", help="robustness studies", parents=[common])
-    p_rob.add_argument("kind", choices=("carrier", "memory", "measurement"))
-    p_rob.add_argument("--resolution", type=int, default=41)
-    p_rob.add_argument("--step", type=float, default=0.01)
+    rob_sub = p_rob.add_subparsers(dest="kind", required=True, parser_class=_Parser)
+    p_carrier = rob_sub.add_parser("carrier", help="carrier mixing and bias sweeps", parents=[common])
+    p_carrier.add_argument("--step", type=float, default=0.01)
+    p_memory = rob_sub.add_parser("memory", help="GQD over initial memory states", parents=[common])
+    p_memory.add_argument("--resolution", type=int, default=41)
+    rob_sub.add_parser("measurement", help="carrier- and memory-angle windows", parents=[common])
 
     sub.add_parser("channels", help="effective-channel classification study", parents=[common])
 
@@ -222,14 +228,30 @@ def _grid_records(grids: Mapping[str, np.ndarray], x_name: str, y_name: str, x_a
 
 
 def _cmd_protocol_run(args) -> None:
-    thetas = _float_list(args.theta)
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    thetas = _number_list(args.theta)
     if len(thetas) != args.n:
         raise ConfigError(f"--theta needs {args.n} values")
-    phis = _float_list(args.phi) if args.phi else None
-    interactions = [int(i) for i in _float_list(args.interactions)] if args.interactions else None
-    outcome = args.outcome if args.outcome in ("zeros", "all") else tuple(
-        int(b) for b in args.outcome
-    )
+    if not all(0 <= t <= math.pi for t in thetas):
+        raise ConfigError(f"--theta values must be in [0, pi], got {args.theta!r}")
+    phis = _number_list(args.phi) if args.phi else None
+    if phis is not None and (len(phis) != args.n or not all(map(math.isfinite, phis))):
+        raise ConfigError(f"--phi needs {args.n} finite values, got {args.phi!r}")
+    interactions = _number_list(args.interactions, int) if args.interactions else None
+    if interactions is not None and (
+        len(set(interactions)) != len(interactions)
+        or not all(1 <= i <= args.n for i in interactions)
+    ):
+        raise ConfigError(f"--interactions must be distinct indices in 1..{args.n}, "
+                          f"got {args.interactions!r}")
+    measured = args.n if interactions is None else len(interactions)
+    if args.outcome in ("zeros", "all"):
+        outcome = args.outcome
+    elif len(args.outcome) == measured and set(args.outcome) <= {"0", "1"}:
+        outcome = tuple(int(b) for b in args.outcome)
+    else:
+        raise ConfigError(f"--outcome must be zeros, all or {measured} bits, got {args.outcome!r}")
     cfg = protocol.standard_config(
         thetas=thetas, phis=phis, outcome=outcome, interactions=interactions
     )
@@ -257,8 +279,13 @@ def _cmd_protocol_run(args) -> None:
 
 def _cmd_discord(args) -> None:
     rho = _named_state(args.state, args.n, args.param)
+    if rho.n_qubits != 2:
+        raise ConfigError(f"discord needs a two-qubit state, got labels {','.join(rho.labels)}")
     unmeasured = args.unmeasured or rho.labels[0]
     measured = args.measured or rho.labels[1]
+    if {unmeasured, measured} != set(rho.labels):
+        raise ConfigError(f"--unmeasured and --measured must be the labels {','.join(rho.labels)}, "
+                          f"one each; got {unmeasured} and {measured}")
     d = discord_asym(rho, unmeasured, measured, budget=_budget(args.inner_budget), seed=args.seed)
     print(f"D({unmeasured}|{measured}) = {d.value:.10g}")
 
@@ -452,6 +479,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             _apply_config_defaults(parser, _parse_config_file(cfg_path))
         args = parser.parse_args(argv)
         args.seed = int(args.seed)
+        if args.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         for flag in ("threads", "resolution"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:

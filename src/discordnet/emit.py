@@ -79,8 +79,8 @@ def write_csv(records: Sequence[Mapping[str, Any]], path: Path, columns: Sequenc
             writer.writerow([_format_cell(rec[c]) for c in cols])
 
 
-def write_json(records: Sequence[Mapping[str, Any]], path: Path, columns: Sequence[str] | None = None) -> None:
-    cols = columns_of(records, columns)
+def write_json(records: Sequence[Mapping[str, Any]], path: Path) -> None:
+    cols = columns_of(records, None)
     payload = [{c: _format_value(rec[c]) for c in cols} for rec in records]
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 

@@ -2,11 +2,25 @@
 curves, the correlated-dephasing noise study, and scaling-law fits.
 
 Every function is deterministic for a fixed seed and returns plain records
-(dataclasses or dicts of arrays) that the CLI serializes.  Resolution and
-budget arguments exist so tests can run scaled-down versions; defaults match
-the full study.  Every study runs serially in one thread: the inner searches
-batch their own objective evaluations, so threads over grid points would only
-contend for the interpreter lock.
+(dataclasses or dicts of arrays) that the CLI serializes.  Each study runs at
+one fixed setting; the only other arguments are the ones the CLI or a
+scaled-down test run sets, and their defaults are the full study:
+
+- ``final``, the budget of reported values (the CLI's ``--inner-budget``), of
+  ``scaling_table``, ``pairwise_census``, ``symmetric_theta_max``,
+  ``noisy_max``, ``rho0_curve_point`` and ``dephasing_noise_study``;
+- ``budget`` of ``protocol_gqd``, ``measurement_window_average``,
+  ``anticorrelated_max`` and ``outcome_dependence``;
+- sizes: ``n_min``/``n_max`` of ``scaling_table``, ``resolution`` of
+  ``heatmaps`` and ``memory_robustness`` (and its ``panels``), ``grid`` of
+  ``symmetric_theta_max`` and ``pairwise_census``, and the swept values
+  ``lambdas``, ``etas`` and ``p_values``;
+- ``width`` of ``measurement_window_average``, ``mixedness`` of
+  ``scaling_table`` and ``include_tau`` of ``dephasing_noise_study``.
+
+Every study runs serially in one thread: the inner searches batch their own
+objective evaluations, so threads over grid points would only contend for the
+interpreter lock.
 """
 
 from __future__ import annotations
@@ -40,16 +54,12 @@ PAIR_DISCORD_MAX = 0.2017520733857
 
 def protocol_gqd(
     thetas: Sequence[float],
-    phis: Sequence[float] | None = None,
     interactions: Sequence[int] | None = None,
-    memory_noise=None,
     budget: Budget = FAST_BUDGET,
     seed: int = 0,
 ) -> float:
     """GQD of the retained state after one protocol run."""
-    cfg = protocol.standard_config(
-        thetas=thetas, phis=phis, interactions=interactions, memory_noise=memory_noise
-    )
+    cfg = protocol.standard_config(thetas=thetas, interactions=interactions)
     out = protocol.run_circuit(cfg)
     return gqd_min(out.final_state, budget=budget, seed=seed).value
 
@@ -73,7 +83,6 @@ class ScalingRow:
 def symmetric_theta_max(
     n: int,
     interactions: Sequence[int] | None = None,
-    inner: Budget = REDUCED_BUDGET,
     final: Budget = FULL_BUDGET,
     grid: int = 25,
     seed: int = 0,
@@ -81,7 +90,8 @@ def symmetric_theta_max(
 ) -> tuple[float, float]:
     """Maximize protocol GQD over a single symmetric carrier angle theta.
 
-    Returns (argmax theta, value re-evaluated at the ``final`` budget).
+    The search runs at ``REDUCED_BUDGET``; returns (argmax theta, value
+    re-evaluated at the ``final`` budget).
     """
     from scipy.optimize import minimize_scalar
 
@@ -91,12 +101,12 @@ def symmetric_theta_max(
         )
 
     thetas = np.linspace(0.02, math.pi - 0.02, grid)
-    vals = [obj(t, inner) for t in thetas]
+    vals = [obj(t, REDUCED_BUDGET) for t in thetas]
     candidates = [float(thetas[int(np.argmax(vals))]), *extra_starts]
     best_t, best_v = candidates[0], -np.inf
     for t0 in candidates:
         res = minimize_scalar(
-            lambda t: -obj(t, inner),
+            lambda t: -obj(t, REDUCED_BUDGET),
             bounds=(max(t0 - 0.25, 1e-3), min(t0 + 0.25, math.pi - 1e-3)),
             method="bounded",
             options={"xatol": 1e-5},
@@ -106,7 +116,7 @@ def symmetric_theta_max(
     return best_t, obj(best_t, final)
 
 
-def matched_epsilon(n: int, reference: DensityMatrix, convention: str = "purity", tol: float = 1e-12) -> float:
+def matched_epsilon(n: int, reference: DensityMatrix, convention: str = "purity") -> float:
     """Mixing weight for which the W-state/maximally-mixed mixture is as mixed
     as the reference state (1-D bisection; both measures are monotone in the
     weight).
@@ -123,7 +133,7 @@ def matched_epsilon(n: int, reference: DensityMatrix, convention: str = "purity"
         raise ValueError(f"unknown mixedness convention {convention!r}")
     lo, hi = 0.0, 1.0  # mixedness increases from pure W (0) to maximally mixed (1)
     increasing = convention == "entropy"  # purity decreases, entropy increases
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         low_side = measure(states.werner_w(n, mid)) < target
         if low_side == increasing:
@@ -136,9 +146,7 @@ def matched_epsilon(n: int, reference: DensityMatrix, convention: str = "purity"
 def scaling_table(
     n_max: int = 5,
     n_min: int = 2,
-    inner: Budget = REDUCED_BUDGET,
     final: Budget = FULL_BUDGET,
-    grid: int = 25,
     seed: int = 0,
     mixedness: str = "purity",
 ) -> list[ScalingRow]:
@@ -147,7 +155,7 @@ def scaling_table(
         raise ValueError("table supports sizes 2..6")
     rows = []
     for n in range(n_min, n_max + 1):
-        theta, g_max = symmetric_theta_max(n, inner=inner, final=final, grid=grid, seed=seed)
+        theta, g_max = symmetric_theta_max(n, final=final, seed=seed)
         g_w = gqd_min(states.w_state(n).density(), budget=final, seed=seed).value
         out = protocol.run_circuit(protocol.standard_config([theta] * n))
         eps = matched_epsilon(n, out.final_state, convention=mixedness)
@@ -182,20 +190,16 @@ class CensusRow:
 
 def pairwise_census(
     n: int,
-    generic_theta: float = protocol.GENERIC_THETA,
-    generic_phi: float = protocol.GENERIC_PHI,
-    zero_tol: float = 1e-6,
-    inner: Budget = REDUCED_BUDGET,
     final: Budget = FULL_BUDGET,
-    pair_budget: Budget = FAST_BUDGET,
     grid: int = 25,
     seed: int = 0,
 ) -> list[CensusRow]:
     """Pairwise discord pattern and max GQD per interaction-subset size.
 
     The representative subset {1..k} is used for each size k; angles for the
-    pattern are generic (away from the measure-zero zero-discord set), while
-    ``gqd_max`` is maximized over a symmetric carrier angle.
+    pattern are generic (away from the measure-zero zero-discord set), and a
+    pair counts as quantum in a direction whose discord (at ``FAST_BUDGET``)
+    exceeds 1e-6.  ``gqd_max`` is maximized over a symmetric carrier angle.
     """
     if n < 2:
         raise ValueError("census needs n >= 2")
@@ -203,8 +207,8 @@ def pairwise_census(
     for k in range(1, n + 1):
         interactions = tuple(range(1, k + 1))
         cfg = protocol.standard_config(
-            thetas=[generic_theta] * n,
-            phis=[generic_phi] * n,
+            thetas=[protocol.GENERIC_THETA] * n,
+            phis=[protocol.GENERIC_PHI] * n,
             interactions=interactions,
         )
         out = protocol.run_circuit(cfg)
@@ -214,11 +218,9 @@ def pairwise_census(
             for b in range(a + 1, len(labels)):
                 la, lb = labels[a], labels[b]
                 pair = partial_trace(out.final_state, [la, lb])
-                d_ab = discord_asym(pair, la, lb, budget=pair_budget, seed=seed).value
-                d_ba = discord_asym(pair, lb, la, budget=pair_budget, seed=seed).value
-                pairs.append(
-                    CensusPair((la, lb), d_ab, d_ba, d_ab > zero_tol, d_ba > zero_tol)
-                )
+                d_ab = discord_asym(pair, la, lb, budget=FAST_BUDGET, seed=seed).value
+                d_ba = discord_asym(pair, lb, la, budget=FAST_BUDGET, seed=seed).value
+                pairs.append(CensusPair((la, lb), d_ab, d_ba, d_ab > 1e-6, d_ba > 1e-6))
         # The maximum sits on the symmetric-theta line for every subset size
         # (theta = pi/4 when a carrier is retained, the all-pairs optimum
         # otherwise); keep pi/4 as an explicit start so the coarse grid cannot
@@ -226,7 +228,6 @@ def pairwise_census(
         theta, g_max = symmetric_theta_max(
             n,
             interactions=interactions,
-            inner=inner,
             final=final,
             grid=grid,
             seed=seed,
@@ -241,12 +242,9 @@ def pairwise_census(
 # ---------------------------------------------------------------------------
 
 
-def heatmaps(
-    resolution: int = 61,
-    budget: Budget = FAST_BUDGET,
-    seed: int = 0,
-) -> dict[str, np.ndarray]:
-    """D(M1|M2), D(M2|M1) and GQD on a (theta1, theta2) grid at phi = 0.
+def heatmaps(resolution: int = 61, seed: int = 0) -> dict[str, np.ndarray]:
+    """D(M1|M2), D(M2|M1) and GQD on a (theta1, theta2) grid at phi = 0, with
+    every search at ``FAST_BUDGET``.
 
     The grid has an exact 8-fold symmetry, so the searches run only on the
     orbit representatives i <= j < ceil(resolution / 2) and every other cell
@@ -263,12 +261,12 @@ def heatmaps(
     for i in range(half):
         for j in range(i, half):
             rho = protocol.final_state_closed_form(axis[i], axis[j], 0.0, 0.0)
-            m1_m2 = discord_asym(rho, "M1", "M2", budget=budget, seed=seed).value
-            m2_m1 = discord_asym(rho, "M2", "M1", budget=budget, seed=seed).value
+            m1_m2 = discord_asym(rho, "M1", "M2", budget=FAST_BUDGET, seed=seed).value
+            m2_m1 = discord_asym(rho, "M2", "M1", budget=FAST_BUDGET, seed=seed).value
             # the swapped cell first, so that i == j keeps the direct values
             d12[j, i], d21[j, i] = m2_m1, m1_m2
             d12[i, j], d21[i, j] = m1_m2, m2_m1
-            g[i, j] = g[j, i] = gqd_min(rho, budget=budget, seed=seed).value
+            g[i, j] = g[j, i] = gqd_min(rho, budget=FAST_BUDGET, seed=seed).value
     k = np.arange(resolution)
     cells = np.ix_(np.minimum(k, resolution - 1 - k), np.minimum(k, resolution - 1 - k))
     return {"theta": axis, "d_m1_m2": d12[cells], "d_m2_m1": d21[cells], "gqd": g[cells]}
@@ -292,32 +290,24 @@ def _closed_form_gqd(x: np.ndarray, budget: Budget, seed: int = 0) -> float:
 
 def measurement_window_average(
     width: float = math.pi / 10,
-    samples: int = 21,
     budget: Budget = FAST_BUDGET,
     seed: int = 0,
 ) -> tuple[float, float]:
     """(windowed average, maximum) of GQD when both carrier measurement
-    angles drift jointly over a window centered on the optimum."""
+    angles drift jointly over a window centered on the optimum (21 samples
+    per angle)."""
     center = [OPT_THETA, OPT_THETA, 0.0, 0.0]
     peak = _closed_form_gqd(np.array(center), budget, seed)
     avg = search.uniform_average(
-        lambda x: _closed_form_gqd(x, budget, seed),
-        center,
-        width,
-        samples=samples,
-        perturbed=[0, 1],
+        lambda x: _closed_form_gqd(x, budget, seed), center, width, perturbed=[0, 1]
     )
     return avg, peak
 
 
-def memory_window_average(
-    width: float = math.pi / 10,
-    samples: int = 21,
-    budget: Budget = FAST_BUDGET,
-    seed: int = 0,
-) -> float:
-    """GQD averaged over a window of the shared memory preparation angle
-    around the balanced point, at the fixed optimal carrier basis."""
+def memory_window_average(seed: int = 0) -> float:
+    """GQD averaged over a pi/10 window (21 samples) of the shared memory
+    preparation angle around the balanced point, at the fixed optimal
+    carrier basis."""
 
     def obj(x: np.ndarray) -> float:
         cfg = protocol.standard_config(
@@ -325,9 +315,9 @@ def memory_window_average(
             memories=states.pure_memory_pair(x[0], 0.0),
         )
         out = protocol.run_circuit(cfg)
-        return gqd_min(out.final_state, budget=budget, seed=seed).value
+        return gqd_min(out.final_state, budget=FAST_BUDGET, seed=seed).value
 
-    return search.uniform_average(obj, [math.pi / 2], width, samples=samples)
+    return search.uniform_average(obj, [math.pi / 2], math.pi / 10)
 
 
 def _carrier_output(carriers: DensityMatrix | None = None) -> DensityMatrix:
@@ -337,9 +327,7 @@ def _carrier_output(carriers: DensityMatrix | None = None) -> DensityMatrix:
 
 
 def carrier_mixing_sweep(
-    lambdas: Sequence[float] | None = None,
-    budget: Budget = FAST_BUDGET,
-    seed: int = 0,
+    lambdas: Sequence[float] | None = None, seed: int = 0
 ) -> list[dict[str, float]]:
     """GQD against the carrier mixing weight: fixed optimal basis vs
     re-optimized basis at every point; one record per weight, in order."""
@@ -352,15 +340,13 @@ def carrier_mixing_sweep(
         records.append({
             "lambda": lam,
             "gqd_fixed_basis": max(gqd(rho, opt_basis), 0.0),
-            "gqd_reoptimized": gqd_min(rho, budget=budget, seed=seed).value,
+            "gqd_reoptimized": gqd_min(rho, budget=FAST_BUDGET, seed=seed).value,
         })
     return records
 
 
 def carrier_bias_sweep(
-    etas: Sequence[float] | None = None,
-    budget: Budget = FAST_BUDGET,
-    seed: int = 0,
+    etas: Sequence[float] | None = None, seed: int = 0
 ) -> list[dict[str, float]]:
     """GQD against the carrier bias weight eta (re-optimized basis); one
     record per weight, in order."""
@@ -368,7 +354,7 @@ def carrier_bias_sweep(
         etas = np.round(np.arange(0.0, 1.0 + 1e-9, 0.01), 10)
     return [
         {"eta": eta, "gqd": gqd_min(_carrier_output(states.biased_carriers(eta)),
-                                    budget=budget, seed=seed).value}
+                                    budget=FAST_BUDGET, seed=seed).value}
         for eta in map(float, etas)
     ]
 
@@ -390,8 +376,6 @@ def _refine_max(obj: Callable[[np.ndarray], float], x0: Sequence[float]) -> np.n
 
 def memory_robustness(
     resolution: int = 41,
-    budget: Budget = FAST_BUDGET,
-    reopt_inner: Budget = REDUCED_BUDGET,
     seed: int = 0,
     panels: Sequence[str] = ("a", "b", "c"),
 ) -> dict[str, dict[str, np.ndarray]]:
@@ -400,80 +384,52 @@ def memory_robustness(
     Panel a: pure memories over preparation angles (theta_m, phi_m), carrier
     basis fixed.  Panel b: same grid, carrier angles re-optimized per point.
     Panel c: dephased-memory purities (A1, A2), fixed basis and re-optimized.
+    Reported values are at ``FAST_BUDGET``; the re-optimization searches at
+    ``REDUCED_BUDGET``.
     """
     out: dict[str, dict[str, np.ndarray]] = {}
+    opt_angles = [OPT_THETA, OPT_THETA, 0.0, 0.0]
 
-    def grid(point: Callable[[int, int], Any]) -> np.ndarray:
-        """point(i, j) at every cell, row-major; a trailing axis for tuples."""
-        vals = np.array([point(i, j) for i in range(resolution) for j in range(resolution)])
+    def grid(memories: Callable[[int, int], DensityMatrix], point) -> np.ndarray:
+        """point(memories(i, j)) at every cell, row-major; a trailing axis for tuples."""
+        vals = np.array([point(memories(i, j)) for i in range(resolution) for j in range(resolution)])
         return vals.reshape(resolution, resolution, *vals.shape[1:])
 
-    def pure_state_run(theta_m: float, phi_m: float, carrier_angles=None):
-        thetas = [OPT_THETA, OPT_THETA] if carrier_angles is None else carrier_angles[0]
-        phis = None if carrier_angles is None else carrier_angles[1]
-        cfg = protocol.standard_config(
-            thetas=thetas, phis=phis, memories=states.pure_memory_pair(theta_m, phi_m)
-        )
+    def run(memories: DensityMatrix, x: Sequence[float]) -> DensityMatrix:
+        cfg = protocol.standard_config(thetas=x[:2], phis=x[2:], memories=memories)
         return protocol.run_circuit(cfg).final_state
 
-    if "a" in panels or "b" in panels:
-        tm_axis = np.linspace(0.0, math.pi, resolution)
-        pm_axis = np.linspace(0.0, 2 * math.pi, resolution)
+    def fixed(memories: DensityMatrix) -> float:
+        return gqd_min(run(memories, opt_angles), budget=FAST_BUDGET, seed=seed).value
+
+    def reoptimized(memories: DensityMatrix) -> float:
+        x = _refine_max(
+            lambda x: gqd_min(run(memories, x), budget=REDUCED_BUDGET, seed=seed).value,
+            opt_angles,
+        )
+        return gqd_min(run(memories, x), budget=FAST_BUDGET, seed=seed).value
+
+    tm_axis = np.linspace(0.0, math.pi, resolution)
+    pm_axis = np.linspace(0.0, 2 * math.pi, resolution)
+    a_axis = np.linspace(0.5, 1.0, resolution)
+
+    def pure(i: int, j: int) -> DensityMatrix:
+        return states.pure_memory_pair(tm_axis[i], pm_axis[j])
+
+    def mixed(i: int, j: int) -> DensityMatrix:
+        return states.mixed_memories(a_axis[i], a_axis[j])
+
     if "a" in panels:
-        def point_a(i, j):
-            rho = pure_state_run(tm_axis[i], pm_axis[j])
-            return gqd_min(rho, budget=budget, seed=seed).value
-
-        out["a"] = {"theta_m": tm_axis, "phi_m": pm_axis, "gqd": grid(point_a)}
+        out["a"] = {"theta_m": tm_axis, "phi_m": pm_axis, "gqd": grid(pure, fixed)}
     if "b" in panels:
-        def point_b(i, j):
-            def obj(x):
-                rho = pure_state_run(
-                    tm_axis[i], pm_axis[j], carrier_angles=([x[0], x[1]], [x[2], x[3]])
-                )
-                return gqd_min(rho, budget=reopt_inner, seed=seed).value
-
-            x = _refine_max(obj, [OPT_THETA, OPT_THETA, 0.0, 0.0])
-            rho = pure_state_run(
-                tm_axis[i], pm_axis[j], carrier_angles=([x[0], x[1]], [x[2], x[3]])
-            )
-            return gqd_min(rho, budget=budget, seed=seed).value
-
-        out["b"] = {"theta_m": tm_axis, "phi_m": pm_axis, "gqd": grid(point_b)}
+        out["b"] = {"theta_m": tm_axis, "phi_m": pm_axis, "gqd": grid(pure, reoptimized)}
     if "c" in panels:
-        a_axis = np.linspace(0.5, 1.0, resolution)
+        def fixed_and_reoptimized(memories: DensityMatrix) -> tuple[float, float]:
+            # both at the same budget, so the two surfaces are comparable
+            g = fixed(memories)
+            return g, max(reoptimized(memories), g)
 
-        def point_c(i, j):
-            cfg = protocol.standard_config(
-                thetas=[OPT_THETA, OPT_THETA],
-                memories=states.mixed_memories(a_axis[i], a_axis[j]),
-            )
-            rho = protocol.run_circuit(cfg).final_state
-            fixed = gqd_min(rho, budget=budget, seed=seed).value
-
-            def obj(x):
-                cfg2 = protocol.standard_config(
-                    thetas=[x[0], x[1]],
-                    phis=[x[2], x[3]],
-                    memories=states.mixed_memories(a_axis[i], a_axis[j]),
-                )
-                rho2 = protocol.run_circuit(cfg2).final_state
-                return gqd_min(rho2, budget=reopt_inner, seed=seed).value
-
-            x = _refine_max(obj, [OPT_THETA, OPT_THETA, 0.0, 0.0])
-            # re-evaluate at the same budget as the fixed-basis value so the
-            # two surfaces are comparable
-            cfg3 = protocol.standard_config(
-                thetas=[x[0], x[1]],
-                phis=[x[2], x[3]],
-                memories=states.mixed_memories(a_axis[i], a_axis[j]),
-            )
-            refined = gqd_min(
-                protocol.run_circuit(cfg3).final_state, budget=budget, seed=seed
-            ).value
-            return fixed, max(refined, fixed)
-
-        both = grid(point_c)
+        both = grid(mixed, fixed_and_reoptimized)
         out["c"] = {
             "a1": a_axis,
             "a2": a_axis,
@@ -528,7 +484,7 @@ def channel_classification_study(seed: int = 0) -> list[dict[str, Any]]:
         }
     )
     for theta2 in (math.pi / 4, 3 * math.pi / 4):
-        out = protocol.run_single_memory_variant(theta2, 0.0)
+        out = protocol.run_single_memory_variant(theta2)
         records.append(
             {
                 "check": "single_memory_discord",
@@ -538,9 +494,7 @@ def channel_classification_study(seed: int = 0) -> list[dict[str, Any]]:
                 ).value,
             }
         )
-    report = protocol.effective_channel_nonfactorizability_check(
-        [OPT_THETA, OPT_THETA], [0.0, 0.0]
-    )
+    report = protocol.effective_channel_nonfactorizability_check()
     records.append({"check": "nonfactorizability_distance", "result": report.trace_distance})
     return records
 
@@ -550,47 +504,43 @@ def channel_classification_study(seed: int = 0) -> list[dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 
-def ghz_study(
-    inner: Budget = FAST_BUDGET,
-    final: Budget = FULL_BUDGET,
-    seed: int = 0,
-) -> dict[str, float]:
+def ghz_study(seed: int = 0) -> dict[str, float]:
     """Three-carrier GHZ variant: maximum GQD of the retained M1-M2-C3
     compound, maximum GQD of the memory pair alone, and the initial value.
 
-    The sub-3-qubit basis searches at reduced budgets can stall on this
-    asymmetric state, so the inner budget defaults to the fast full-featured
-    one rather than the outer-search budget.
+    The angle searches run at ``FAST_BUDGET``, not the outer-search budget:
+    the sub-3-qubit basis searches at reduced budgets can stall on this
+    asymmetric state.  Reported values are at ``FULL_BUDGET``.
     """
     from scipy.optimize import minimize_scalar
 
     def joint_obj(theta: float, budget: Budget) -> float:
-        out = protocol.run_ghz_variant(theta, theta, 0.0, 0.0)
+        out = protocol.run_ghz_variant(theta, theta)
         return gqd_min(out.final_state, budget=budget, seed=seed).value
 
     def pair_obj(theta: float, budget: Budget) -> float:
-        out = protocol.run_ghz_variant(theta, theta, 0.0, 0.0)
+        out = protocol.run_ghz_variant(theta, theta)
         pair = partial_trace(out.final_state, ["M1", "M2"])
         return gqd_min(pair, budget=budget, seed=seed).value
 
     res_joint = minimize_scalar(
-        lambda t: -joint_obj(t, inner),
+        lambda t: -joint_obj(t, FAST_BUDGET),
         bounds=(0.05, math.pi - 0.05),
         method="bounded",
         options={"xatol": 1e-5},
     )
     res_pair = minimize_scalar(
-        lambda t: -pair_obj(t, inner),
+        lambda t: -pair_obj(t, FAST_BUDGET),
         bounds=(0.05, math.pi / 2),
         method="bounded",
         options={"xatol": 1e-5},
     )
     return {
-        "gqd_initial": gqd_min(states.ghz3_carriers(), budget=final, seed=seed).value,
+        "gqd_initial": gqd_min(states.ghz3_carriers(), budget=FULL_BUDGET, seed=seed).value,
         "theta_joint": float(res_joint.x),
-        "gqd_joint_max": joint_obj(float(res_joint.x), final),
+        "gqd_joint_max": joint_obj(float(res_joint.x), FULL_BUDGET),
         "theta_pair": float(res_pair.x),
-        "gqd_pair_max": pair_obj(float(res_pair.x), final),
+        "gqd_pair_max": pair_obj(float(res_pair.x), FULL_BUDGET),
     }
 
 
@@ -608,6 +558,12 @@ def _folded(x: np.ndarray) -> np.ndarray:
     return np.concatenate(fold_bloch(x[:2], x[2:]))
 
 
+def _dephasing(p: float):
+    """Fully correlated (mu = 1) dephasing of strength p on the memories;
+    None, the noiseless run, at p = 0."""
+    return correlated_dephasing(p, 1.0) if p > 0 else None
+
+
 def _noisy_output(x: np.ndarray, noise) -> DensityMatrix:
     """Memory output of the two-pair protocol at carrier angles x under noise."""
     x = _folded(x)
@@ -615,32 +571,33 @@ def _noisy_output(x: np.ndarray, noise) -> DensityMatrix:
     return protocol.run_circuit(cfg).final_state
 
 
+# Points per tied axis of the noisy_max grid scan.  It must be fine enough to
+# resolve the narrow basin near phi = 3pi/4 that dominates at strong noise;
+# 17 points put that azimuth exactly on the grid.
+NOISY_MAX_GRID = 17
+
+
 def noisy_max(
     p: float,
-    mu: float = 1.0,
-    inner: Budget = REDUCED_BUDGET,
     final: Budget = FULL_BUDGET,
-    grid: int = 17,
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
     """Maximize protocol GQD over carrier angles under correlated dephasing.
 
-    Symmetric (theta, phi) grid scan, then unrestricted 4-angle refinement;
-    returns (argmax angles [t1, t2, p1, p2], value at the final budget).
-    The grid must be fine enough to resolve the narrow basin near
-    phi = 3pi/4 that dominates at strong noise; 17 points per tied axis
-    puts that azimuth exactly on the grid.
+    Symmetric (theta, phi) grid scan, then unrestricted 4-angle refinement,
+    both at ``REDUCED_BUDGET``; returns (argmax angles [t1, t2, p1, p2],
+    value at the ``final`` budget).
     """
-    noise = correlated_dephasing(p, mu) if p > 0 else None
+    noise = _dephasing(p)
 
     def obj(x: np.ndarray, budget: Budget) -> float:
         return gqd_min(_noisy_output(x, noise), budget=budget, seed=seed).value
 
     spec = search.SearchSpec(
-        objective=lambda x: obj(x, inner),
+        objective=lambda x: obj(x, REDUCED_BUDGET),
         dimension=4,
         bounds=((0.0, math.pi),) * 2 + ((0.0, 2 * math.pi),) * 2,
-        grid_resolution=grid,
+        grid_resolution=NOISY_MAX_GRID,
         multistarts=2,
         random_starts=0,
         tolerance=1e-5,
@@ -655,18 +612,16 @@ def noisy_max(
 def best_fidelity_state(
     p: float,
     target: DensityMatrix,
-    mu: float = 1.0,
-    grid: int = 9,
     seed: int = 0,
 ) -> tuple[np.ndarray, float, DensityMatrix]:
     """Carrier angles maximizing fidelity of the noisy protocol output with a
     target two-qubit state; returns (angles, fidelity, state)."""
-    noise = correlated_dephasing(p, mu) if p > 0 else None
+    noise = _dephasing(p)
     spec = search.SearchSpec(
         objective=lambda x: fidelity(_noisy_output(x, noise), target),
         dimension=4,
         bounds=((0.0, math.pi),) * 2 + ((0.0, 2 * math.pi),) * 2,
-        grid_resolution=grid,
+        grid_resolution=9,
         multistarts=2,
         random_starts=1,
         tolerance=1e-6,
@@ -679,48 +634,37 @@ def best_fidelity_state(
     return best, res.value, _noisy_output(best, noise)
 
 
-def best_tau_target(
-    p: float,
-    mu: float = 1.0,
-    x_grid: int = 101,
-    budget: Budget = FAST_BUDGET,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Optimal Bell-mixture weight x: the tau(x) target whose best-fidelity
-    protocol state carries the most GQD at noise strength p."""
+def best_tau_target(p: float, seed: int = 0) -> dict[str, float]:
+    """Optimal Bell-mixture weight x on a 101-point grid: the tau(x) target
+    whose best-fidelity protocol state carries the most GQD (at
+    ``FAST_BUDGET``) at noise strength p."""
     best = {"x": 0.0, "gqd": -1.0, "fidelity": 0.0}
-    for x in np.linspace(0.0, 1.0, x_grid):
-        _, fid, rho = best_fidelity_state(p, states.bell_mixture(float(x)), mu, seed=seed)
-        val = gqd_min(rho, budget=budget, seed=seed).value
+    for x in np.linspace(0.0, 1.0, 101):
+        _, fid, rho = best_fidelity_state(p, states.bell_mixture(float(x)), seed=seed)
+        val = gqd_min(rho, budget=FAST_BUDGET, seed=seed).value
         if val > best["gqd"]:
             best = {"x": float(x), "gqd": val, "fidelity": fid}
     return best
 
 
-def rho0_curve_point(p: float, mu: float = 1.0, budget: Budget = FULL_BUDGET, seed: int = 0) -> float:
+def rho0_curve_point(p: float, budget: Budget = FULL_BUDGET, seed: int = 0) -> float:
     """GQD of the noisy protocol output at the noiseless-optimal fixed angles."""
-    noise = correlated_dephasing(p, mu) if p > 0 else None
-    cfg = protocol.standard_config(thetas=[OPT_THETA, OPT_THETA], memory_noise=noise)
+    cfg = protocol.standard_config(thetas=[OPT_THETA, OPT_THETA], memory_noise=_dephasing(p))
     return gqd_min(protocol.run_circuit(cfg).final_state, budget=budget, seed=seed).value
 
 
-def noisy_max_estimate(
-    p: float,
-    mu: float = 1.0,
-    inner: Budget = REDUCED_BUDGET,
-    final: Budget = FULL_BUDGET,
-    theta_grid: int = 13,
-    seed: int = 0,
-) -> float:
+def noisy_max_estimate(p: float, seed: int = 0) -> float:
     """Fast lower-bound estimate of the noisy maximum GQD.
 
     The unrestricted maximum over carrier angles is attained on one of two
     one-parameter families: the noiseless-optimal basis at fixed angles, or
     the symmetric family with azimuth 3pi/4 whose polar angle shifts with the
     noise strength.  Taking the larger of the two reproduces the full
-    four-angle maximum while only requiring a scalar optimization.
+    four-angle maximum while only requiring a scalar optimization: a 13-point
+    scan and a refinement at ``REDUCED_BUDGET``, then both families at
+    ``FULL_BUDGET``.
     """
-    noise = correlated_dephasing(p, mu) if p > 0 else None
+    noise = _dephasing(p)
 
     def family(theta: float, budget: Budget) -> float:
         cfg = protocol.standard_config(
@@ -730,35 +674,25 @@ def noisy_max_estimate(
         )
         return gqd_min(protocol.run_circuit(cfg).final_state, budget=budget, seed=seed).value
 
-    thetas = np.linspace(0.0, math.pi, theta_grid)
-    coarse = [family(float(t), inner) for t in thetas]
+    thetas = np.linspace(0.0, math.pi, 13)
+    coarse = [family(float(t), REDUCED_BUDGET) for t in thetas]
     t0 = float(thetas[int(np.argmax(coarse))])
-    theta = _refine_max(lambda v: family(float(v[0]), inner), [t0])[0]
-    branch = family(float(np.clip(theta, 0.0, math.pi)), final)
-    return max(branch, rho0_curve_point(p, mu, budget=final, seed=seed))
+    theta = _refine_max(lambda v: family(float(v[0]), REDUCED_BUDGET), [t0])[0]
+    branch = family(float(np.clip(theta, 0.0, math.pi)), FULL_BUDGET)
+    return max(branch, rho0_curve_point(p, seed=seed))
 
 
-def outcome_dependence(
-    p: float = 1.0,
-    mu: float = 1.0,
-    thetas: Sequence[float] | None = None,
-    phis: Sequence[float] | None = None,
-    budget: Budget = FULL_BUDGET,
-    seed: int = 0,
-) -> list[dict[str, Any]]:
-    """Per-outcome branches of the noisy protocol.
-
-    Defaults to the carrier basis that is optimal under full correlated
-    dephasing, where identical and orthogonal outcomes leave the memories in
-    structurally different Bell mixtures.
+def outcome_dependence(budget: Budget = FULL_BUDGET, seed: int = 0) -> list[dict[str, Any]]:
+    """Per-outcome branches of the protocol under full correlated dephasing
+    (p = 1), at the carrier basis that is optimal there: identical and
+    orthogonal outcomes leave the memories in structurally different Bell
+    mixtures.
     """
-    noise = correlated_dephasing(p, mu) if p > 0 else None
-    if thetas is None:
-        thetas = [NOISY_OPT_THETA, NOISY_OPT_THETA]
-        if phis is None:
-            phis = [NOISY_OPT_PHI, NOISY_OPT_PHI]
     cfg = protocol.standard_config(
-        thetas=thetas, phis=phis, outcome="all", memory_noise=noise
+        thetas=[NOISY_OPT_THETA, NOISY_OPT_THETA],
+        phis=[NOISY_OPT_PHI, NOISY_OPT_PHI],
+        outcome="all",
+        memory_noise=_dephasing(1.0),
     )
     records = []
     for out in protocol.run_circuit(cfg):
@@ -778,11 +712,8 @@ def outcome_dependence(
 
 def dephasing_noise_study(
     p_values: Sequence[float] | None = None,
-    mu: float = 1.0,
-    inner: Budget = REDUCED_BUDGET,
     final: Budget = FULL_BUDGET,
     include_tau: bool = True,
-    x_grid: int = 101,
     seed: int = 0,
 ) -> dict[str, Any]:
     """Noise study: outer-maximized GQD, fixed-angle curve, fidelity-target
@@ -792,7 +723,7 @@ def dephasing_noise_study(
     p_values = [float(p) for p in p_values]
 
     def point(p: float) -> dict[str, Any]:
-        angles, g_max = noisy_max(p, mu, inner=inner, final=final, seed=seed)
+        angles, g_max = noisy_max(p, final=final, seed=seed)
         rec: dict[str, Any] = {
             "p": p,
             "gqd_max": g_max,
@@ -800,24 +731,24 @@ def dephasing_noise_study(
             "theta2": angles[1],
             "phi1": angles[2],
             "phi2": angles[3],
-            "gqd_rho0": rho0_curve_point(p, mu, budget=final, seed=seed),
+            "gqd_rho0": rho0_curve_point(p, budget=final, seed=seed),
         }
         for name, target in [
             ("even_mix", states.bell_mixture(0.5)),
             ("uniform_mix", states.bell_mixture(1.0 / 3.0)),
         ]:
-            _, fid, rho = best_fidelity_state(p, target, mu, seed=seed)
+            _, fid, rho = best_fidelity_state(p, target, seed=seed)
             rec[f"fid_{name}"] = fid
             rec[f"gqd_{name}"] = gqd_min(rho, budget=final, seed=seed).value
         if include_tau:
-            tau = best_tau_target(p, mu, x_grid=x_grid, seed=seed)
+            tau = best_tau_target(p, seed=seed)
             rec["tau_x"] = tau["x"]
             rec["tau_gqd"] = tau["gqd"]
             rec["tau_fidelity"] = tau["fidelity"]
         return rec
 
     curve = [point(p) for p in p_values]
-    return {"curve": curve, "outcomes_p1": outcome_dependence(1.0, mu, budget=final, seed=seed)}
+    return {"curve": curve, "outcomes_p1": outcome_dependence(budget=final, seed=seed)}
 
 
 # ---------------------------------------------------------------------------
@@ -833,9 +764,9 @@ class FitResult:
     points: int
 
 
-def scaling_fits(rows: Sequence[ScalingRow], pair_max: float = PAIR_DISCORD_MAX) -> list[FitResult]:
+def scaling_fits(rows: Sequence[ScalingRow]) -> list[FitResult]:
     """Linear fit of the per-size maximum, and an exponential fit of the
-    excess over the pairwise-additive baseline pair_max * (N - 1)."""
+    excess over the pairwise-additive baseline PAIR_DISCORD_MAX * (N - 1)."""
     from scipy.optimize import curve_fit
 
     if len(rows) < 3:
@@ -846,7 +777,7 @@ def scaling_fits(rows: Sequence[ScalingRow], pair_max: float = PAIR_DISCORD_MAX)
     lin_res = float(np.linalg.norm(gs - (slope * ns + intercept)))
     fits = [FitResult("linear", (float(slope), float(intercept)), lin_res, len(rows))]
 
-    xi = gs - pair_max * (ns - 1)
+    xi = gs - PAIR_DISCORD_MAX * (ns - 1)
 
     def model(nn, a, b, c):
         return a * np.exp(b * nn) + c

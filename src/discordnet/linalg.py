@@ -62,11 +62,11 @@ def hermiticity_defect(h) -> float:
     return defect
 
 
-def require_hermitian(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(h) -> np.ndarray:
     h = as_matrix(h)
     defect = hermiticity_defect(h)
-    if defect > tol:
-        raise LinalgError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.0e})")
+    if defect > HERMITICITY_TOL:
+        raise LinalgError(f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.0e})")
     return h
 
 
@@ -98,16 +98,16 @@ def eigh(h) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
-def mat_fn(h, f: Callable[[float], float], zero_policy: float = 0.0) -> np.ndarray:
+def mat_fn(h, f: Callable[[float], float]) -> np.ndarray:
     """Apply a real function to the spectrum of a Hermitian matrix.
 
-    Eigenvalues with magnitude below ``EIGENVALUE_FLOOR`` are mapped to
-    ``zero_policy`` instead of being fed to ``f``, which keeps entropic
-    functions like ``x*log2(x)`` well defined at 0.
+    Eigenvalues with magnitude below ``EIGENVALUE_FLOOR`` are mapped to 0
+    instead of being fed to ``f``, which keeps entropic functions like
+    ``x*log2(x)`` well defined at 0.
     """
     dec = eigh(h)
     mapped = np.array(
-        [zero_policy if abs(x) < EIGENVALUE_FLOOR else f(x) for x in dec.eigenvalues],
+        [0.0 if abs(x) < EIGENVALUE_FLOOR else f(x) for x in dec.eigenvalues],
         dtype=float,
     )
     return (dec.eigenvectors * mapped) @ dec.eigenvectors.conj().T

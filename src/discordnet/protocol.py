@@ -187,7 +187,7 @@ def final_state_closed_form(
     return DensityMatrix(("M1", "M2"), m)
 
 
-def run_b92_variant(phi2: float = 0.0, theta2: float = math.pi / 2):
+def run_b92_variant():
     """Computational-basis protocol with a controlled-Hadamard on pair 2 only.
 
     Returns the two outcome branches; both occur with probability 1/2 and
@@ -202,39 +202,39 @@ def run_b92_variant(phi2: float = 0.0, theta2: float = math.pi / 2):
         memories=states.zero_memories(2),
         interactions=(2,),
         gate_kind="ch",
-        carrier_angles={2: (theta2, phi2)},
+        carrier_angles={2: (math.pi / 2, 0.0)},
         outcome="all",
     )
     return run_circuit(cfg)
 
 
-def run_single_memory_variant(
-    theta2: float, phi2: float = 0.0, outcome: int = 0
-) -> ProtocolOutcome:
+def run_single_memory_variant(theta2: float) -> ProtocolOutcome:
     """Controlled-Z protocol with one memory: pair 2 interacts, C1 is idle.
 
-    The final compound is (C1, M2).
+    C2 is measured at polar angle theta2 and azimuth 0 and post-selected on
+    outcome 0.  The final compound is (C1, M2).
     """
     cfg = ProtocolConfig(
         n=2,
         memories=states.plus_memories(2),
         interactions=(2,),
-        carrier_angles={2: (theta2, phi2)},
-        outcome=(outcome,),
+        carrier_angles={2: (theta2, 0.0)},
+        outcome=(0,),
     )
     return run_circuit(cfg)
 
 
-def run_ghz_variant(
-    theta1: float, theta2: float, phi1: float = 0.0, phi2: float = 0.0
-) -> ProtocolOutcome:
-    """Three GHZ carriers, two memories; C3 never interacts and is retained."""
+def run_ghz_variant(theta1: float, theta2: float) -> ProtocolOutcome:
+    """Three GHZ carriers, two memories; C3 never interacts and is retained.
+
+    C1 and C2 are measured at polar angles theta1, theta2 and azimuth 0.
+    """
     cfg = ProtocolConfig(
         n=2,
         carriers=states.ghz3_carriers(),
         memories=states.plus_memories(2),
         interactions=(1, 2),
-        carrier_angles={1: (theta1, phi1), 2: (theta2, phi2)},
+        carrier_angles={1: (theta1, 0.0), 2: (theta2, 0.0)},
         outcome="zeros",
     )
     return run_circuit(cfg)
@@ -248,15 +248,13 @@ ChannelBuilder = Callable[[DensityMatrix], DensityMatrix]
 
 
 def effective_memory_channel(
-    thetas: Sequence[float],
-    phis: Sequence[float] | None = None,
-    carriers: DensityMatrix | None = None,
-    outcome: tuple[int, ...] | str = "zeros",
+    thetas: Sequence[float], phis: Sequence[float] | None = None
 ) -> ChannelBuilder:
-    """Post-selected map from an initial memory state to the final memory state."""
+    """Map from an initial memory state to the final memory state, with the
+    classical carriers and post-selection on the all-zeros outcome."""
 
     def channel(memories: DensityMatrix) -> DensityMatrix:
-        cfg = standard_config(thetas, phis, outcome=outcome, carriers=carriers, memories=memories)
+        cfg = standard_config(thetas, phis, memories=memories)
         return run_circuit(cfg).final_state
 
     return channel
@@ -271,27 +269,26 @@ def _classical_product_inputs() -> list[DensityMatrix]:
     return inputs
 
 
-def classify_semiclassical(
-    channel: ChannelBuilder, off_diag_tol: float = 1e-9
-) -> bool:
+def classify_semiclassical(channel: ChannelBuilder) -> bool:
     """True iff every classical product input maps to a state diagonal in the
-    product |+>/|-> basis."""
+    product |+>/|-> basis, to 1e-9 in every entry."""
     h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
     to_x = np.kron(h, h)
     for rho_in in _classical_product_inputs():
         out = channel(rho_in)
         in_x = to_x.conj().T @ out.matrix @ to_x
         off = in_x - np.diag(np.diag(in_x))
-        if float(np.max(np.abs(off))) > off_diag_tol:
+        if float(np.max(np.abs(off))) > 1e-9:
             return False
     return True
 
 
-def classify_unital(channel: ChannelBuilder, tol: float = 1e-9) -> bool:
-    """True iff the channel fixes the maximally mixed memory state."""
+def classify_unital(channel: ChannelBuilder) -> bool:
+    """True iff the channel fixes the maximally mixed memory state, to 1e-9
+    in every entry."""
     mixed = states.maximally_mixed(("M1", "M2"))
     out = channel(mixed)
-    return float(np.max(np.abs(out.matrix - mixed.matrix))) <= tol
+    return float(np.max(np.abs(out.matrix - mixed.matrix))) <= 1e-9
 
 
 def unital_closed_form(
@@ -321,19 +318,16 @@ class FactorizabilityReport:
         return self.trace_distance <= 1e-9
 
 
-def effective_channel_nonfactorizability_check(
-    thetas: Sequence[float] = (0.9458, 0.9458),
-    phis: Sequence[float] = (0.0, 0.0),
-    carriers: DensityMatrix | None = None,
-    memory_input: DensityMatrix | None = None,
-) -> FactorizabilityReport:
-    """Compare the joint memory map against the product of its marginal maps.
+def effective_channel_nonfactorizability_check() -> FactorizabilityReport:
+    """Compare the joint memory map against the product of its marginal maps,
+    at the optimal carrier angles theta = 0.9458, phi = 0 and on the |+>|+>
+    memory input.
 
     The marginal map for M_i feeds the other memory with its reference |+>
     state and traces it out of the result.
     """
-    channel = effective_memory_channel(thetas, phis, carriers=carriers)
-    mem = memory_input if memory_input is not None else states.plus_memories(2)
+    channel = effective_memory_channel([0.9458, 0.9458])
+    mem = states.plus_memories(2)
     joint_out = channel(mem)
 
     marg_out = []

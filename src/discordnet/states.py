@@ -122,11 +122,11 @@ def bloch_state(theta: float, phi: float, label: str = "Q") -> PureState:
     )
 
 
-def bloch_orthogonal(theta: float, phi: float, label: str = "Q") -> PureState:
-    """The state orthogonal to ``bloch_state(theta, phi)``."""
+def bloch_orthogonal(theta: float, phi: float) -> PureState:
+    """The state orthogonal to ``bloch_state(theta, phi)``, on qubit "Q"."""
     _check_bloch_angles(theta, phi)
     return PureState(
-        (label,),
+        ("Q",),
         np.array([math.sin(theta / 2), -np.exp(1j * phi) * math.cos(theta / 2)]),
     )
 
@@ -304,15 +304,15 @@ def mixed_memories(a1: float, a2: float) -> DensityMatrix:
     return DensityMatrix(memory_labels(2), np.kron(locals_[0], locals_[1]))
 
 
-def w_state(n: int, labels: Sequence[str] | None = None) -> PureState:
-    """Symmetric single-excitation state on n qubits."""
+def w_state(n: int) -> PureState:
+    """Symmetric single-excitation state on memories M1..Mn."""
     if n < 2:
         raise StateError("W state needs n >= 2")
     amp = np.zeros(2**n, dtype=np.complex128)
     for i in range(n):
         amp[1 << (n - 1 - i)] = 1.0
     amp /= math.sqrt(n)
-    return PureState(tuple(labels) if labels else memory_labels(n), amp)
+    return PureState(memory_labels(n), amp)
 
 
 def werner_w(n: int, eps: float) -> DensityMatrix:
@@ -349,11 +349,11 @@ def bell_mixture(x: float, labels: Sequence[str] = ("M1", "M2")) -> DensityMatri
     return DensityMatrix(tuple(labels), m)
 
 
-def werner_bell(y: float, labels: Sequence[str] = ("M1", "M2")) -> DensityMatrix:
-    """y |psi-><psi-| + (1-y)/4 I; entangled for y > 1/3."""
+def werner_bell(y: float) -> DensityMatrix:
+    """y |psi-><psi-| + (1-y)/4 I on (M1, M2); entangled for y > 1/3."""
     _check_unit_interval("y", y)
     m = y * _proj(_BELL["psi-"]) + (1 - y) / 4 * np.eye(4)
-    return DensityMatrix(tuple(labels), m)
+    return DensityMatrix(("M1", "M2"), m)
 
 
 def maximally_mixed(labels: Sequence[str]) -> DensityMatrix:

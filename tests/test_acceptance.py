@@ -202,8 +202,8 @@ def test_criterion_4_structure_census():
 def test_criterion_5_robustness():
     avg, peak = ex.measurement_window_average(budget=ex.REDUCED_BUDGET)
     reduction = 100 * (peak - avg) / peak
-    mem_avg = ex.memory_window_average(budget=FAST_BUDGET)
-    eta = ex.carrier_bias_sweep(etas=(0.0, 1.0), budget=FAST_BUDGET)
+    mem_avg = ex.memory_window_average()
+    eta = ex.carrier_bias_sweep(etas=(0.0, 1.0))
     anti = ex.anticorrelated_max(budget=FULL_BUDGET)
     ok = (
         abs(reduction - 2.0) < 1.0
@@ -231,9 +231,7 @@ def test_criterion_5_robustness():
     "matches a half-weight mixing variant (see the project decision log)",
 )
 def test_criterion_5_mixing_average():
-    recs = ex.carrier_mixing_sweep(
-        lambdas=np.round(np.linspace(0.0, 0.1, 11), 10), budget=FAST_BUDGET
-    )
+    recs = ex.carrier_mixing_sweep(lambdas=np.round(np.linspace(0.0, 0.1, 11), 10))
     avg = float(np.mean([r["gqd_reoptimized"] for r in recs]))
     record_criterion(
         "05x1", abs(avg - 0.1687) <= 2e-3,
@@ -250,7 +248,7 @@ def test_criterion_5_mixing_average():
     "vanishing (see the project decision log)",
 )
 def test_criterion_5_full_mixing():
-    recs = ex.carrier_mixing_sweep(lambdas=(1.0,), budget=FAST_BUDGET)
+    recs = ex.carrier_mixing_sweep(lambdas=(1.0,))
     value = recs[0]["gqd_reoptimized"]
     record_criterion(
         "05x2", value < 1e-6,
@@ -266,9 +264,7 @@ def purity_grid_panel():
 
 
 def test_criterion_6_fixed_vs_reoptimized(purity_grid_panel):
-    recs = ex.carrier_mixing_sweep(
-        lambdas=np.round(np.linspace(0.0, 1.0, 11), 10), budget=FAST_BUDGET
-    )
+    recs = ex.carrier_mixing_sweep(lambdas=np.round(np.linspace(0.0, 1.0, 11), 10))
     lam_diff = max(
         abs(r["gqd_fixed_basis"] - r["gqd_reoptimized"])
         for r in recs
@@ -349,9 +345,7 @@ def test_criterion_7_channel_classification():
             ).value
         )
     assert all(abs(s - 0.2018) < 1e-3 for s in singles)
-    report = protocol.effective_channel_nonfactorizability_check(
-        [ex.OPT_THETA, ex.OPT_THETA], [0.0, 0.0]
-    )
+    report = protocol.effective_channel_nonfactorizability_check()
     assert report.trace_distance > 0.01
     record_criterion(
         "07", True,
@@ -366,7 +360,7 @@ def test_criterion_8_noise_study():
     below = ex.noisy_max_estimate(0.18)
     above = ex.noisy_max_estimate(0.24)
     crossover_ok = below < GQD_MAX < above
-    records = {r["bits"]: r for r in ex.outcome_dependence(1.0)}
+    records = {r["bits"]: r for r in ex.outcome_dependence()}
     p_same = records["00"]["probability"] + records["11"]["probability"]
     p_diff = records["01"]["probability"] + records["10"]["probability"]
     same_fid = min(records[b]["fidelity_uniform_mix"] for b in ("00", "11"))
@@ -449,7 +443,7 @@ def test_criterion_10_property_suites(rng):
     clean = [gqd_min(b.final_state, budget=FAST_BUDGET, seed=0).value for b in branches]
     assert abs(sum(b.probability for b in branches) - 1) < 1e-12
     assert max(clean) - min(clean) < 1e-7
-    noisy = {r["bits"]: r["gqd"] for r in ex.outcome_dependence(1.0, budget=FAST_BUDGET)}
+    noisy = {r["bits"]: r["gqd"] for r in ex.outcome_dependence(budget=FAST_BUDGET)}
     assert abs(noisy["00"] - noisy["01"]) > 0.1
     record_criterion(
         "10", True,

@@ -194,6 +194,20 @@ def test_threads_or_resolution_below_one_exits_1(tmp_path, capsys, command, flag
     ("census --n 1", "--n must be >= 2"),
     ("fits --n-max 2", "--n-max must be between 4 and 6"),
     ("fits --n-max 7", "--n-max must be between 4 and 6"),
+    ("protocol run --n 2 --theta 0.9,0.9 --outcome 02", "--outcome must be zeros, all or 2 bits"),
+    ("protocol run --n 2 --theta 0.9,0.9 --outcome ab", "--outcome must be zeros, all or 2 bits"),
+    ("protocol run --n 2 --theta 0.9,0.9 --outcome 0", "--outcome must be zeros, all or 2 bits"),
+    ("protocol run --n 2 --theta 0.9,0.9 --interactions 1,5", "--interactions must be distinct"),
+    ("protocol run --n 2 --theta 0.9,4", "--theta values must be in [0, pi]"),
+    ("gqd --state bell_mixture --param x=abc", "--param x expects a number"),
+    ("discord --state bell_mixture --param x=0.5 --measured Z",
+     "--unmeasured and --measured must be the labels M1,M2"),
+    ("discord --state w --n 3", "discord needs a two-qubit state"),
+    ("gqd --state w --n 2 --seed -1", "--seed must be >= 0"),
+    ("robustness carrier --resolution 3", "unrecognized arguments: --resolution"),
+    ("robustness memory --step 0.5", "unrecognized arguments: --step"),
+    ("robustness measurement --step 0.5", "unrecognized arguments: --step"),
+    ("robustness measurement --resolution 3", "unrecognized arguments: --resolution"),
 ])
 def test_out_of_range_size_or_step_exits_1(tmp_path, capsys, command, message):
     code, _, err = run([*command.split(), "--out", str(tmp_path)], capsys)

@@ -183,3 +183,60 @@ def test_bell_diagonal_closed_form(seed):
     assert abs(gqd_min(rho, budget=FAST_BUDGET, seed=seed).value - want) < 1e-8
     assert abs(discord_asym(rho, "A", "B", budget=FAST_BUDGET, seed=seed).value - want) < 1e-8
     assert abs(discord_asym(rho, "B", "A", budget=FAST_BUDGET, seed=seed).value - want) < 1e-8
+
+
+def _rank2_discord(rho, unmeasured, measured):
+    """D(A|B) of a two-qubit state of rank <= 2 with B measured, in closed form.
+
+    Koashi & Winter, PRA 69, 022309: for a purification of rho_AB on ABE,
+    D(A|B) = S(B) - S(AB) + E_F(rho_AE).  The purification uses the top two
+    eigenpairs of rho_AB, and E_F comes from Wootters' concurrence
+    (PRL 80, 2245).  rho_AE = sum_b |v_b><v_b| with v_b[a, e] = Psi[a, b, e],
+    so the top two square roots of the spectrum of sqrt(rho) rho~ sqrt(rho)
+    are the singular values of the 2x2 matrix tau = V^T (Y x Y) V; taking
+    them from tau avoids square roots of round-off eigenvalues.
+    """
+    t = rho.tensor_view().transpose(
+        rho.axis(unmeasured), rho.axis(measured), 2 + rho.axis(unmeasured), 2 + rho.axis(measured)
+    )
+    lam, vecs = np.linalg.eigh(t.reshape(4, 4))
+    psi = (vecs[:, 2:] * np.sqrt(np.clip(lam[2:], 0.0, None))).reshape(2, 2, 2)  # [a, b, e]
+    v = psi.transpose(0, 2, 1).reshape(4, 2)  # column b is v_b over (a, e)
+    yy = np.kron(PAULIS[1], PAULIS[1])
+    s = np.linalg.svd(v.T @ yy @ v, compute_uv=False)
+    c = min(s[0] - s[1], 1.0)
+    e_f = _binary_entropy((1 + math.sqrt(1 - c * c)) / 2)
+    return entropy(partial_trace(rho, [measured])) - entropy(rho) + e_f
+
+
+def _heatmap_orbit_states():
+    axis = np.linspace(0.0, math.pi, 11)  # the representatives of heatmaps(resolution=11)
+    return [(axis[i], axis[j], 0.0, 0.0) for i in range(6) for j in range(i, 6)]
+
+
+def _random_angles():
+    rng = np.random.default_rng(2004)
+    return [tuple(rng.uniform(0.0, (math.pi, math.pi, 2 * math.pi, 2 * math.pi)))
+            for _ in range(10)]
+
+
+@pytest.mark.parametrize("angles", _heatmap_orbit_states() + _random_angles())
+def test_discord_matches_rank2_closed_form(angles):
+    rho = protocol.final_state_closed_form(*angles)
+    assert np.linalg.eigvalsh(rho.matrix)[1] < 1e-12  # rank <= 2
+    for a, b in (("M1", "M2"), ("M2", "M1")):
+        got = discord_asym(rho, a, b, budget=FAST_BUDGET, seed=0).value
+        assert abs(got - _rank2_discord(rho, a, b)) < 1e-9
+
+
+def test_pair_discord_max_is_the_rank2_maximum():
+    from discordnet.experiments import PAIR_DISCORD_MAX
+
+    def closed(t1, t2, p1=0.0, p2=0.0):
+        return _rank2_discord(protocol.final_state_closed_form(t1, t2, p1, p2), "M1", "M2")
+
+    # attained on the family (pi/2, pi/4, free phases), and nowhere exceeded
+    for p1, p2 in ((0.0, 0.0), (1.234, 0.77)):
+        assert abs(closed(math.pi / 2, math.pi / 4, p1, p2) - PAIR_DISCORD_MAX) < 1e-12
+    axis = np.linspace(0.0, math.pi, 33)
+    assert max(closed(t1, t2) for t1 in axis for t2 in axis) < PAIR_DISCORD_MAX + 1e-12

@@ -41,7 +41,7 @@ def test_protocol_gqd_bipartite_maximum():
 
 
 def test_heatmap_shapes_and_symmetry():
-    maps = ex.heatmaps(resolution=5, budget=FAST_BUDGET)
+    maps = ex.heatmaps(resolution=5)
     for key in ("d_m1_m2", "d_m2_m1", "gqd"):
         assert maps[key].shape == (5, 5)
         assert np.all(maps[key] >= -1e-9)
@@ -55,7 +55,7 @@ def test_heatmap_shapes_and_symmetry():
 
 @pytest.mark.parametrize("resolution", [4, 5])
 def test_heatmap_orbit_reuse_matches_every_point(resolution):
-    maps = ex.heatmaps(resolution=resolution, budget=FAST_BUDGET)
+    maps = ex.heatmaps(resolution=resolution)
     for i, t1 in enumerate(maps["theta"]):
         for j, t2 in enumerate(maps["theta"]):
             rho = ex.protocol.final_state_closed_form(t1, t2)
@@ -75,7 +75,7 @@ def test_heatmap_solves_once_per_orbit(monkeypatch, resolution, orbits):
         return real(rho, **kwargs)
 
     monkeypatch.setattr(ex, "gqd_min", counted)
-    ex.heatmaps(resolution=resolution, budget=FAST_BUDGET)
+    ex.heatmaps(resolution=resolution)
     assert len(calls) == orbits
 
 
@@ -86,7 +86,7 @@ def test_measurement_window_zero_width_equals_peak():
 
 
 def test_carrier_mixing_sweep_endpoints():
-    recs = ex.carrier_mixing_sweep(lambdas=(0.0, 0.5, 1.0), budget=FAST_BUDGET)
+    recs = ex.carrier_mixing_sweep(lambdas=(0.0, 0.5, 1.0))
     assert [r["lambda"] for r in recs] == [0.0, 0.5, 1.0]
     by_lam = {r["lambda"]: r for r in recs}
     # both endpoints reach the bipartite maximum; the even mixture is classical
@@ -98,7 +98,7 @@ def test_carrier_mixing_sweep_endpoints():
 
 
 def test_carrier_bias_sweep_endpoints_vanish():
-    recs = ex.carrier_bias_sweep(etas=(0.0, 1.0), budget=FAST_BUDGET)
+    recs = ex.carrier_bias_sweep(etas=(0.0, 1.0))
     for r in recs:
         assert r["gqd"] < 1e-8
 

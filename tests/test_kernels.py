@@ -84,16 +84,16 @@ def pick_labels(rng, n: int, k: int) -> list[str]:
 @pytest.mark.parametrize("kind", ["cz", "ch", "local"])
 def test_apply_gate_matches_dense(rng, n, kind):
     rho = random_state(rng, n)
-    if kind == "local":
+    if kind == "local":  # a non-diagonal single-qubit unitary, through apply_unitary
         (target,) = pick_labels(rng, n, 1)
-        u = random_unitary(rng, 2)
-        gate, labels = GateSpec(kind="local", target=target, matrix=u), [target]
+        u, labels = random_unitary(rng, 2), [target]
+        out = apply_unitary(rho, u, labels)
     else:
         control, target = pick_labels(rng, n, 2)
         gate = GateSpec(kind=kind, control=control, target=target)
         u, labels = gate.two_qubit_matrix(), [control, target]
+        out = apply_gate(rho, gate)
     full = embed(u, labels, rho.labels)
-    out = apply_gate(rho, gate)
     assert out.labels == rho.labels
     assert np.allclose(out.matrix, full @ rho.matrix @ full.conj().T, atol=ATOL)
 

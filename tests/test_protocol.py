@@ -117,13 +117,13 @@ def test_b92_variant_unit_probability_and_discord_direction():
 
 def test_single_memory_variant_discord():
     for theta2 in (math.pi / 4, 3 * math.pi / 4):
-        out = protocol.run_single_memory_variant(theta2, 0.0)
+        out = protocol.run_single_memory_variant(theta2)
         d = discord_asym(out.final_state, *out.retained_labels, budget=FULL_BUDGET, seed=0)
         assert abs(d.value - 0.2017520733857) < 1e-6
 
 
 def test_ghz_variant_retains_spectator_carrier():
-    out = protocol.run_ghz_variant(0.9, 0.9, 0.0, 0.0)
+    out = protocol.run_ghz_variant(0.9, 0.9)
     assert set(out.final_state.labels) == {"M1", "M2", "C3"}
     pair = partial_trace(out.final_state, ["M1", "M2"])
     # tracing the spectator reproduces the standard bipartite protocol
