@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, StateError, _check_bloch_angles
+from .states import DensityMatrix, _check_bloch_angles
 
 # Post-selection outcomes with probability below this are treated as invalid
 # rather than normalized: normalizing pure round-off would fabricate states.

@@ -20,7 +20,8 @@ scaled-down test run sets, and their defaults are the full study:
 
 Every study runs serially in one thread: the inner searches batch their own
 objective evaluations, so threads over grid points would only contend for the
-interpreter lock.
+interpreter lock.  Every outer search over carrier angles prepares its
+register once with ``protocol.angle_sweep`` and only measures it per step.
 """
 
 from __future__ import annotations
@@ -95,12 +96,14 @@ def symmetric_theta_max(
     """
     from scipy.optimize import minimize_scalar
 
-    def obj(theta: float, budget: Budget) -> float:
-        return protocol_gqd(
-            [theta] * n, interactions=interactions, budget=budget, seed=seed
-        )
-
     thetas = np.linspace(0.02, math.pi - 0.02, grid)
+    run = protocol.angle_sweep(
+        protocol.standard_config([thetas[0]] * n, interactions=interactions)
+    )
+
+    def obj(theta: float, budget: Budget) -> float:
+        return gqd_min(run([theta] * n).final_state, budget=budget, seed=seed).value
+
     vals = [obj(t, REDUCED_BUDGET) for t in thetas]
     candidates = [float(thetas[int(np.argmax(vals))]), *extra_starts]
     best_t, best_v = candidates[0], -np.inf
@@ -374,6 +377,17 @@ def _refine_max(obj: Callable[[np.ndarray], float], x0: Sequence[float]) -> np.n
     return res.argopt
 
 
+def _two_pair_outputs(
+    memories: DensityMatrix | None = None, memory_noise=None
+) -> Callable[[Sequence[float]], DensityMatrix]:
+    """Memory output of the two-pair protocol as a function of the carrier
+    angles [t1, t2, p1, p2], with the register prepared once."""
+    run = protocol.angle_sweep(protocol.standard_config(
+        [OPT_THETA, OPT_THETA], memories=memories, memory_noise=memory_noise
+    ))
+    return lambda x: run(x[:2], x[2:]).final_state
+
+
 def memory_robustness(
     resolution: int = 41,
     seed: int = 0,
@@ -395,19 +409,17 @@ def memory_robustness(
         vals = np.array([point(memories(i, j)) for i in range(resolution) for j in range(resolution)])
         return vals.reshape(resolution, resolution, *vals.shape[1:])
 
-    def run(memories: DensityMatrix, x: Sequence[float]) -> DensityMatrix:
-        cfg = protocol.standard_config(thetas=x[:2], phis=x[2:], memories=memories)
-        return protocol.run_circuit(cfg).final_state
-
     def fixed(memories: DensityMatrix) -> float:
-        return gqd_min(run(memories, opt_angles), budget=FAST_BUDGET, seed=seed).value
+        rho = _two_pair_outputs(memories=memories)(opt_angles)
+        return gqd_min(rho, budget=FAST_BUDGET, seed=seed).value
 
     def reoptimized(memories: DensityMatrix) -> float:
+        output = _two_pair_outputs(memories=memories)
         x = _refine_max(
-            lambda x: gqd_min(run(memories, x), budget=REDUCED_BUDGET, seed=seed).value,
+            lambda x: gqd_min(output(x), budget=REDUCED_BUDGET, seed=seed).value,
             opt_angles,
         )
-        return gqd_min(run(memories, x), budget=FAST_BUDGET, seed=seed).value
+        return gqd_min(output(x), budget=FAST_BUDGET, seed=seed).value
 
     tm_axis = np.linspace(0.0, math.pi, resolution)
     pm_axis = np.linspace(0.0, 2 * math.pi, resolution)
@@ -514,12 +526,14 @@ def ghz_study(seed: int = 0) -> dict[str, float]:
     """
     from scipy.optimize import minimize_scalar
 
+    run = protocol.angle_sweep(protocol.ghz_config(0.05, 0.05))
+
     def joint_obj(theta: float, budget: Budget) -> float:
-        out = protocol.run_ghz_variant(theta, theta)
+        out = run([theta, theta])
         return gqd_min(out.final_state, budget=budget, seed=seed).value
 
     def pair_obj(theta: float, budget: Budget) -> float:
-        out = protocol.run_ghz_variant(theta, theta)
+        out = run([theta, theta])
         pair = partial_trace(out.final_state, ["M1", "M2"])
         return gqd_min(pair, budget=budget, seed=seed).value
 
@@ -564,11 +578,11 @@ def _dephasing(p: float):
     return correlated_dephasing(p, 1.0) if p > 0 else None
 
 
-def _noisy_output(x: np.ndarray, noise) -> DensityMatrix:
-    """Memory output of the two-pair protocol at carrier angles x under noise."""
-    x = _folded(x)
-    cfg = protocol.standard_config(thetas=x[:2], phis=x[2:], memory_noise=noise)
-    return protocol.run_circuit(cfg).final_state
+def _noisy_outputs(p: float) -> Callable[[np.ndarray], DensityMatrix]:
+    """Memory output of the two-pair protocol under dephasing of strength p,
+    as a function of the carrier angles x, which it folds."""
+    output = _two_pair_outputs(memory_noise=_dephasing(p))
+    return lambda x: output(_folded(x))
 
 
 # Points per tied axis of the noisy_max grid scan.  It must be fine enough to
@@ -588,10 +602,10 @@ def noisy_max(
     both at ``REDUCED_BUDGET``; returns (argmax angles [t1, t2, p1, p2],
     value at the ``final`` budget).
     """
-    noise = _dephasing(p)
+    output = _noisy_outputs(p)
 
     def obj(x: np.ndarray, budget: Budget) -> float:
-        return gqd_min(_noisy_output(x, noise), budget=budget, seed=seed).value
+        return gqd_min(output(x), budget=budget, seed=seed).value
 
     spec = search.SearchSpec(
         objective=lambda x: obj(x, REDUCED_BUDGET),
@@ -616,9 +630,9 @@ def best_fidelity_state(
 ) -> tuple[np.ndarray, float, DensityMatrix]:
     """Carrier angles maximizing fidelity of the noisy protocol output with a
     target two-qubit state; returns (angles, fidelity, state)."""
-    noise = _dephasing(p)
+    output = _noisy_outputs(p)
     spec = search.SearchSpec(
-        objective=lambda x: fidelity(_noisy_output(x, noise), target),
+        objective=lambda x: fidelity(output(x), target),
         dimension=4,
         bounds=((0.0, math.pi),) * 2 + ((0.0, 2 * math.pi),) * 2,
         grid_resolution=9,
@@ -631,7 +645,8 @@ def best_fidelity_state(
     )
     res = search.optimize(spec)
     best = _folded(res.argopt)
-    return best, res.value, _noisy_output(best, noise)
+    cfg = protocol.standard_config(best[:2], best[2:], memory_noise=_dephasing(p))
+    return best, res.value, protocol.run_circuit(cfg).final_state
 
 
 def best_tau_target(p: float, seed: int = 0) -> dict[str, float]:
@@ -664,15 +679,11 @@ def noisy_max_estimate(p: float, seed: int = 0) -> float:
     scan and a refinement at ``REDUCED_BUDGET``, then both families at
     ``FULL_BUDGET``.
     """
-    noise = _dephasing(p)
+    output = _two_pair_outputs(memory_noise=_dephasing(p))
 
     def family(theta: float, budget: Budget) -> float:
-        cfg = protocol.standard_config(
-            thetas=[theta, theta],
-            phis=[NOISY_OPT_PHI, NOISY_OPT_PHI],
-            memory_noise=noise,
-        )
-        return gqd_min(protocol.run_circuit(cfg).final_state, budget=budget, seed=seed).value
+        rho = output([theta, theta, NOISY_OPT_PHI, NOISY_OPT_PHI])
+        return gqd_min(rho, budget=budget, seed=seed).value
 
     thetas = np.linspace(0.0, math.pi, 13)
     coarse = [family(float(t), REDUCED_BUDGET) for t in thetas]

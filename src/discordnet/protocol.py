@@ -3,6 +3,14 @@ closed form, its variants (B92 resource generation, single-memory, GHZ
 carriers, partial interaction subsets, noisy memories) and the effective
 memory-channel classification analyses.
 
+A circuit runs in two steps.  ``_prepare`` builds the angle-independent part:
+memory noise, the carrier (x) memory tensor and the controlled gates.
+``_measure`` projects the interacting carriers at their measurement angles and
+traces out what is not retained.  ``run_circuit`` does both for one config;
+``angle_sweep`` prepares a config once and measures it at any number of
+carrier angles, for the outer angle searches.  Both go through the same two
+steps, so there is one simulation path.
+
 Retention rule for partial-interaction runs: an index i whose carrier-memory
 pair does interact contributes M_i to the final state (C_i is measured and
 discarded); a non-interacting index contributes C_i and its unused memory
@@ -92,6 +100,33 @@ class ProtocolOutcome:
 def run_circuit(cfg: ProtocolConfig) -> ProtocolOutcome | list[ProtocolOutcome]:
     """Execute the protocol circuit; returns all branches when outcome='all'."""
     cfg = cfg.resolved()
+    return _measure(cfg, *_prepare(cfg))
+
+
+def angle_sweep(cfg: ProtocolConfig) -> Callable[..., ProtocolOutcome | list[ProtocolOutcome]]:
+    """``run(thetas, phis=None)``: the protocol of ``cfg`` at other carrier
+    angles, with the register prepared once.
+
+    ``run`` takes per-carrier angles as ``standard_config`` does (phis default
+    to 0) and returns what ``run_circuit`` returns for ``cfg`` at those
+    angles, bit for bit.
+    """
+    cfg = cfg.resolved()
+    joint, retained = _prepare(cfg)
+
+    def run(thetas: Sequence[float], phis: Sequence[float] | None = None):
+        # One angle per carrier 1..n covers every interacting carrier, which
+        # is all that resolving would check again.
+        if len(thetas) != cfg.n:
+            raise StateError(f"{len(thetas)} carrier angles for {cfg.n} carrier-memory pairs")
+        return _measure(replace(cfg, carrier_angles=_carrier_angles(thetas, phis)), joint, retained)
+
+    return run
+
+
+def _prepare(cfg: ProtocolConfig) -> tuple[DensityMatrix, list[str]]:
+    """The angle-independent half of a resolved config: the joint state after
+    memory noise and the carrier-memory gates, and the labels it retains."""
     memories = cfg.memories
     if cfg.memory_noise is not None:
         # (I (x) E)(rho_C (x) rho_M) = rho_C (x) E(rho_M): noise the small register.
@@ -99,8 +134,15 @@ def run_circuit(cfg: ProtocolConfig) -> ProtocolOutcome | list[ProtocolOutcome]:
     joint = tensor([cfg.carriers, memories])
     for i in cfg.interactions:
         joint = apply_gate(joint, GateSpec(kind=cfg.gate_kind, control=f"C{i}", target=f"M{i}"))
+    return joint, _retained_labels(cfg, joint)
+
+
+def _measure(
+    cfg: ProtocolConfig, joint: DensityMatrix, retained: list[str]
+) -> ProtocolOutcome | list[ProtocolOutcome]:
+    """Measure the interacting carriers of a prepared joint state at the
+    angles of the resolved ``cfg`` and keep the retained labels."""
     basis = MeasurementBasis({f"C{i}": cfg.carrier_angles[i] for i in cfg.interactions})
-    retained = _retained_labels(cfg, joint)
 
     if cfg.outcome == "all":
         outcomes = []
@@ -147,18 +189,23 @@ def standard_config(
     interactions: Sequence[int] | None = None,
 ) -> ProtocolConfig:
     """All-pairs controlled-Z protocol with per-carrier measurement angles."""
-    n = len(thetas)
-    phis = list(phis) if phis is not None else [0.0] * n
-    angles = {i + 1: (float(thetas[i]), float(phis[i])) for i in range(n)}
     return ProtocolConfig(
-        n=n,
+        n=len(thetas),
         carriers=carriers,
         memories=memories,
         interactions=tuple(interactions) if interactions is not None else None,
-        carrier_angles=angles,
+        carrier_angles=_carrier_angles(thetas, phis),
         outcome=outcome,
         memory_noise=memory_noise,
     )
+
+
+def _carrier_angles(
+    thetas: Sequence[float], phis: Sequence[float] | None
+) -> dict[int, tuple[float, float]]:
+    """Angles of carriers 1..len(thetas); phis default to 0."""
+    phis = list(phis) if phis is not None else [0.0] * len(thetas)
+    return {i + 1: (float(thetas[i]), float(phis[i])) for i in range(len(thetas))}
 
 
 def final_state_closed_form(
@@ -224,12 +271,12 @@ def run_single_memory_variant(theta2: float) -> ProtocolOutcome:
     return run_circuit(cfg)
 
 
-def run_ghz_variant(theta1: float, theta2: float) -> ProtocolOutcome:
+def ghz_config(theta1: float, theta2: float) -> ProtocolConfig:
     """Three GHZ carriers, two memories; C3 never interacts and is retained.
 
     C1 and C2 are measured at polar angles theta1, theta2 and azimuth 0.
     """
-    cfg = ProtocolConfig(
+    return ProtocolConfig(
         n=2,
         carriers=states.ghz3_carriers(),
         memories=states.plus_memories(2),
@@ -237,7 +284,6 @@ def run_ghz_variant(theta1: float, theta2: float) -> ProtocolOutcome:
         carrier_angles={1: (theta1, 0.0), 2: (theta2, 0.0)},
         outcome="zeros",
     )
-    return run_circuit(cfg)
 
 
 # --------------------------------------------------------------------------

@@ -362,21 +362,28 @@ def maximally_mixed(labels: Sequence[str]) -> DensityMatrix:
     return DensityMatrix(labels, np.eye(d) / d)
 
 
+def _whole(n: float) -> int:
+    """A size parameter as an int; a fractional value is an error, not truncated."""
+    if not float(n).is_integer():
+        raise StateError(f"n = {n} is not a whole number")
+    return int(n)
+
+
 _FAMILIES = {
-    "classical_carriers": lambda n=2: classical_carriers(int(n)),
+    "classical_carriers": lambda n=2: classical_carriers(_whole(n)),
     "mixed_carriers": lambda lam: mixed_carriers(float(lam)),
     "anticorrelated_carriers": lambda: anticorrelated_carriers(),
     "biased_carriers": lambda eta: biased_carriers(float(eta)),
     "ghz3": lambda: ghz3_carriers(),
-    "plus_memories": lambda n=2: plus_memories(int(n)),
+    "plus_memories": lambda n=2: plus_memories(_whole(n)),
     "pure_memory_pair": lambda vartheta, varphi=0.0: pure_memory_pair(
         float(vartheta), float(varphi)
     ),
     "mixed_memories": lambda a1, a2: mixed_memories(float(a1), float(a2)),
-    "w": lambda n: w_state(int(n)).density(),
+    "w": lambda n: w_state(_whole(n)).density(),
     "bell": lambda kind="phi+": bell_state(str(kind)).density(),
-    "maximally_mixed": lambda n=2: maximally_mixed(memory_labels(int(n))),
-    "werner_w": lambda n, eps: werner_w(int(n), float(eps)),
+    "maximally_mixed": lambda n=2: maximally_mixed(memory_labels(_whole(n))),
+    "werner_w": lambda n, eps: werner_w(_whole(n), float(eps)),
     "bell_mixture": lambda x: bell_mixture(float(x)),
     "werner_bell": lambda y: werner_bell(float(y)),
 }

@@ -22,7 +22,6 @@ from discordnet.correlations import (
     gqd,
     gqd_min,
 )
-from discordnet.states import partial_trace
 
 PAIR_MAX = 0.2017520733857
 GQD_MAX = 0.2198113593729

@@ -204,6 +204,7 @@ def test_threads_or_resolution_below_one_exits_1(tmp_path, capsys, command, flag
      "--unmeasured and --measured must be the labels M1,M2"),
     ("discord --state w --n 3", "discord needs a two-qubit state"),
     ("gqd --state w --n 2 --seed -1", "--seed must be >= 0"),
+    ("gqd --state w --param n=2.7 --inner-budget fast", "n = 2.7 is not a whole number"),
     ("robustness carrier --resolution 3", "unrecognized arguments: --resolution"),
     ("robustness memory --step 0.5", "unrecognized arguments: --step"),
     ("robustness measurement --step 0.5", "unrecognized arguments: --step"),

@@ -5,6 +5,7 @@ import pytest
 
 from discordnet import experiments as ex
 from discordnet import states
+from discordnet.channels import correlated_dephasing
 from discordnet.correlations import FAST_BUDGET
 
 
@@ -165,3 +166,16 @@ def test_best_fidelity_state_folds_carrier_angles():
     again = states.fidelity(ex.protocol.run_circuit(cfg).final_state, target)
     assert abs(again - fid) < 1e-9
     assert abs(states.fidelity(rho, target) - fid) < 1e-9
+
+
+def test_best_fidelity_state_value_recomputes_exactly():
+    # The search measures one prepared register at every step; the reported
+    # fidelity is still exactly that of a fresh run_circuit at the angles.
+    target = states.bell_mixture(0.6)
+    angles, fid, rho = ex.best_fidelity_state(0.5, target)
+    cfg = ex.protocol.standard_config(
+        thetas=angles[:2], phis=angles[2:], memory_noise=correlated_dephasing(0.5, 1.0)
+    )
+    again = ex.protocol.run_circuit(cfg).final_state
+    assert states.fidelity(again, target) == fid
+    assert np.array_equal(rho.matrix, again.matrix)

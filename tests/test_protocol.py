@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ def test_single_memory_variant_discord():
 
 
 def test_ghz_variant_retains_spectator_carrier():
-    out = protocol.run_ghz_variant(0.9, 0.9)
+    out = protocol.run_circuit(protocol.ghz_config(0.9, 0.9))
     assert set(out.final_state.labels) == {"M1", "M2", "C3"}
     pair = partial_trace(out.final_state, ["M1", "M2"])
     # tracing the spectator reproduces the standard bipartite protocol
@@ -181,3 +182,37 @@ def test_effective_channel_not_factorizable():
     report = protocol.effective_channel_nonfactorizability_check()
     assert not report.factorizable
     assert report.trace_distance > 0.01
+
+
+@pytest.mark.parametrize("cfg, angles", [
+    (protocol.standard_config([0.3, 0.4], [0.1, 0.2], memory_noise=correlated_dephasing(0.5, 1.0)),
+     ([0.9, 1.3], [2.0, 5.1])),
+    (protocol.standard_config([0.3, 0.4, 0.5]), ([0.9, 1.1, 0.7], [0.3, 0.2, 1.4])),
+    (protocol.standard_config([0.3] * 4, interactions=[1, 2]), ([0.9, 1.1, 0.7, 2.0], None)),
+    (protocol.ghz_config(0.3, 0.4), ([0.9, 1.7], [0.5, 0.0])),
+    (protocol.standard_config([0.3, 0.4], outcome=(0, 1)), ([0.9, 1.3], [0.2, 0.8])),
+    (protocol.standard_config([0.3, 0.4], outcome="all"), ([0.9, 1.3], [0.2, 0.8])),
+])
+def test_angle_sweep_is_bit_identical_to_run_circuit(cfg, angles):
+    thetas, phis = angles
+    swept = protocol.angle_sweep(cfg)(thetas, phis)
+    direct = protocol.run_circuit(replace(cfg, carrier_angles={
+        i + 1: (thetas[i], phis[i] if phis is not None else 0.0) for i in range(len(thetas))
+    }))
+    if cfg.outcome != "all":
+        swept, direct = [swept], [direct]
+    assert len(swept) == len(direct)
+    for a, b in zip(swept, direct):
+        assert np.array_equal(a.final_state.matrix, b.final_state.matrix)
+        assert a.final_state.labels == b.final_state.labels
+        assert a.probability == b.probability
+        assert a.retained_labels == b.retained_labels
+        assert a.outcome_bits == b.outcome_bits
+
+
+def test_angle_sweep_rejects_bad_angles():
+    run = protocol.angle_sweep(protocol.standard_config([0.9, 0.9]))
+    with pytest.raises(StateError, match="outside"):
+        run([0.9, 4.0])
+    with pytest.raises(StateError, match="carrier angles"):
+        run([0.9])

@@ -1,5 +1,5 @@
 """Per-call timings of the protocol circuit, the inner basis searches, the
-fidelity search and the heatmap study.
+fidelity search, the symmetric angle search and the heatmap study.
 
 Usage, from the root of a checkout:
 
@@ -20,6 +20,8 @@ alike.  A round times:
   the outer angle searches) on protocol outputs at N = 3 and N = 5;
 - ``experiments.best_fidelity_state`` once on each of three fixed targets
   that finish at every revision;
+- ``experiments.symmetric_theta_max`` once at N = 5, reporting at the fast
+  budget (the outer angle search of the ``scaling`` CLI command);
 - ``experiments.heatmaps(resolution=11)`` once, at its default budget and
   seed (the grid of the ``heatmap`` CLI command at resolution 11).
 
@@ -47,13 +49,15 @@ from time import perf_counter
 
 # Rounds per run, (name, calls per round) of the circuit workloads, the fidelity
 # targets (p, x), the heatmap grid of the inner-search cases, the calls per
-# round at the reduced budget and the resolution of the timed heatmap study;
+# round at the reduced budget, the size of the timed symmetric angle search and
+# the resolution of the timed heatmap study;
 # fixed so that every checkout is timed alike.
 ROUNDS = 5
 CIRCUITS = (("run_circuit_n2_dephasing", 200), ("run_circuit_n3", 40), ("run_circuit_n5", 6))
 FIDELITY_TARGETS = ((0.25, 0.2), (0.5, 0.0), (1.0, 0.2))
 HEATMAP_RESOLUTION = 4
 INNER_REDUCED = (("gqd_min_n3_reduced", 10), ("gqd_min_n5_reduced", 5))
+THETA_MAX_N = 5
 STUDY_RESOLUTION = 11
 
 
@@ -119,6 +123,9 @@ def child(src: Path) -> dict[str, dict[str, list[float]] | dict[str, int]]:
         experiments.best_fidelity_state(p, states.bell_mixture(x))
         times.append(perf_counter() - t0)
     samples["best_fidelity_state"] = times
+    t0 = perf_counter()
+    experiments.symmetric_theta_max(THETA_MAX_N, final=correlations.FAST_BUDGET)
+    samples[f"symmetric_theta_max_n{THETA_MAX_N}"] = [perf_counter() - t0]
     t0 = perf_counter()
     experiments.heatmaps(resolution=STUDY_RESOLUTION)
     samples[f"heatmaps_r{STUDY_RESOLUTION}"] = [perf_counter() - t0]
