@@ -8,13 +8,13 @@ cost at O(4^n) per application.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, _check_bloch_angles
+from .states import DensityMatrix, DensityStack, _check_bloch_angles
 
 # Post-selection outcomes with probability below this are treated as invalid
 # rather than normalized: normalizing pure round-off would fabricate states.
@@ -33,33 +33,70 @@ class ZeroProbabilityError(ChannelError):
     """Requested post-selection outcome has (numerically) zero probability."""
 
 
-def basis_vectors(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal measurement pair (|psi>, |psi_perp>) for Bloch angles."""
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
+def basis_vectors(theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal measurement pair (|psi>, |psi_perp>) for Bloch angles.
+
+    For arrays of angles, each of the two gains their shape in front: entry
+    [..., :] is the vector of those angles.  The half-angle cosines and
+    sines come from ``math`` one angle at a time, so every entry is
+    bit-equal to the one-point call.
+    """
+    if np.ndim(theta):
+        theta = np.asarray(theta)
+        c = np.array([math.cos(t / 2) for t in theta.ravel()]).reshape(theta.shape)
+        s = np.array([math.sin(t / 2) for t in theta.ravel()]).reshape(theta.shape)
+    else:
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
     e = np.exp(1j * phi)
-    return np.array([c, e * s]), np.array([s, -e * c])
+    v = np.empty(np.shape(e) + (2,), dtype=np.complex128)
+    w = np.empty_like(v)
+    v[..., 0], v[..., 1] = c, e * s
+    w[..., 0], w[..., 1] = s, -e * c
+    return v, w
 
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Per-label Bloch angles defining local rank-1 projective measurements."""
+    """Per-label Bloch angles defining local rank-1 projective measurements.
 
-    angles: Mapping[str, tuple[float, float]]
+    Each label maps to one (theta, phi) pair, or, for a block of k
+    measurement points, to a pair of length-k arrays (the same k for every
+    label).  ``size`` is k, or None for one point; it is taken from the
+    angles, and only a block that measures no label needs it given.  Every
+    angle is range checked, and the basis vectors of all labels are built
+    at once.
+    """
+
+    angles: Mapping[str, tuple]
+    size: int | None = None
+    _vectors: tuple[np.ndarray, np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        checked = {}
-        for label, (theta, phi) in dict(self.angles).items():
-            _check_bloch_angles(theta, phi % (2 * math.pi))
-            checked[str(label)] = (float(theta), float(phi))
-        object.__setattr__(self, "angles", checked)
+        labels = tuple(str(lab) for lab in self.angles)
+        try:
+            theta = np.array([t for t, _ in self.angles.values()], dtype=float)
+            phi = np.array([p for _, p in self.angles.values()], dtype=float)
+        except ValueError:
+            raise ChannelError("labels measure blocks of different sizes") from None
+        if theta.ndim > 2 or theta.shape != phi.shape:
+            raise ChannelError("each label needs a (theta, phi) pair, or two length-k arrays")
+        if labels:
+            size = theta.shape[1] if theta.ndim == 2 else None
+            if self.size is not None and self.size != size:
+                raise ChannelError(f"angles of {size or 1} points for a basis of size {self.size}")
+            object.__setattr__(self, "size", size)
+        _check_bloch_angles(theta, np.mod(phi, 2 * math.pi))
+        object.__setattr__(self, "angles", dict(zip(labels, zip(theta, phi))))
+        object.__setattr__(self, "_vectors", basis_vectors(theta, phi))
 
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(self.angles)
 
     def vectors(self, label: str) -> tuple[np.ndarray, np.ndarray]:
-        theta, phi = self.angles[label]
-        return basis_vectors(theta, phi)
+        """(|psi>, |psi_perp>) of a label: (2,) arrays, or (k, 2) for a block."""
+        j = self.labels.index(label)
+        return self._vectors[0][j], self._vectors[1][j]
 
 
 def _check_unitary(u: np.ndarray) -> None:
@@ -210,70 +247,113 @@ def apply_kraus(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
     return DensityMatrix(rho.labels, out.reshape(rho.matrix.shape))
 
 
-def measure_project(
-    rho: DensityMatrix,
-    basis: MeasurementBasis,
-    outcomes: Sequence[int],
-) -> tuple[DensityMatrix, float]:
-    """Project the measured labels onto the chosen basis elements.
-
-    Returns the normalized state on the unmeasured labels and the outcome
-    probability.  Outcome bit 0 selects |psi>, bit 1 selects |psi_perp>.
-    """
-    measured = basis.labels
-    if len(outcomes) != len(measured):
-        raise ChannelError("one outcome bit required per measured label")
-    missing = [lab for lab in measured if lab not in rho.labels]
+def _unmeasured(rho: DensityMatrix, basis: MeasurementBasis) -> list[str]:
+    missing = [lab for lab in basis.labels if lab not in rho.labels]
     if missing:
         raise ChannelError(f"labels not in state: {missing}")
-    remaining = [lab for lab in rho.labels if lab not in measured]
+    remaining = [lab for lab in rho.labels if lab not in basis.labels]
     if not remaining:
         raise ChannelError("measuring every label would leave an empty state")
+    return remaining
 
+
+def _project(rho: DensityMatrix, labels: Sequence[str], vecs: Sequence[np.ndarray], rows: int) -> np.ndarray:
+    """<v_r| rho |v_r> for every row r, as an unnormalized (rows, d, d) stack
+    over the unmeasured labels; vecs[j] is a (rows, 2) array whose row r is
+    the vector of row r on labels[j]."""
     n = rho.n_qubits
+    if not labels:
+        return np.broadcast_to(rho.matrix, (rows, *rho.matrix.shape))
     # Contract <v| into each measured row axis and |v> into its column axis,
     # one label at a time in basis order, each as a matmul over that axis.  This
     # is the order numpy's optimized einsum picks for this product, so results
     # are bit-identical to it (tests/test_kernels.py checks this).  That
     # matters: ties between mirror-image optima downstream
     # (symmetric_theta_max) are broken by last-bit rounding.  It skips
-    # einsum's per-call parsing and path search.
+    # einsum's per-call parsing and path search.  Every row is its own
+    # matmul of the one-row shape, stacked on a leading axis, so a row of a
+    # block is bit-equal to the same row projected alone.
     t = rho.tensor_view()
     ids = list(range(2 * n))  # original axis of each remaining axis of t
     first = True
-    for lab, bit in zip(measured, outcomes):
-        v = basis.vectors(lab)[int(bit)]
+    for lab, v in zip(labels, vecs):
         for axis, vec in ((rho.axis(lab), v.conj()), (rho.axis(lab) + n, v)):
             ax = ids.index(axis)
             ids.pop(ax)
-            rest = [a for a in range(t.ndim) if a != ax]
             if first:
-                t = vec.reshape(1, 2) @ t.transpose([ax, *rest]).reshape(2, -1)
+                rest = [a for a in range(t.ndim) if a != ax]
+                t = vec.reshape(rows, 1, 2) @ t.transpose([ax, *rest]).reshape(2, -1)
                 first = False
             else:
-                t = t.transpose([*rest, ax]).reshape(-1, 2) @ vec.reshape(2, 1)
-            t = t.reshape((2,) * len(ids))
-    d = 2 ** len(remaining)
-    reduced = t.reshape(d, d)
-    prob = float(np.real(np.trace(reduced)))
-    if prob < ZERO_PROBABILITY_TOL:
+                rest = [a for a in range(1, t.ndim) if a != ax + 1]
+                t = t.transpose([0, *rest, ax + 1]).reshape(rows, -1, 2) @ vec.reshape(rows, 2, 1)
+            t = t.reshape((rows,) + (2,) * len(ids))
+    d = 2 ** (len(ids) // 2)
+    return t.reshape(rows, d, d)
+
+
+def _probabilities(reduced: np.ndarray) -> np.ndarray:
+    return np.real(np.trace(reduced, axis1=1, axis2=2))
+
+
+def measure_project(
+    rho: DensityMatrix,
+    basis: MeasurementBasis,
+    outcomes: Sequence[int],
+) -> tuple[DensityMatrix, float] | tuple[DensityStack, np.ndarray]:
+    """Project the measured labels onto the chosen basis elements.
+
+    Returns the normalized state on the unmeasured labels and the outcome
+    probability.  Outcome bit 0 selects |psi>, bit 1 selects |psi_perp>.
+    For a block basis of k points, the states come as a ``DensityStack``
+    and the probabilities as a length-k array, row i being point i.
+    """
+    if len(outcomes) != len(basis.labels):
+        raise ChannelError("one outcome bit required per measured label")
+    remaining = _unmeasured(rho, basis)
+    vecs = [np.reshape(basis.vectors(lab)[int(bit)], (-1, 2)) for lab, bit in zip(basis.labels, outcomes)]
+    reduced = _project(rho, basis.labels, vecs, basis.size or 1)
+    probs = _probabilities(reduced)
+    low = probs < ZERO_PROBABILITY_TOL
+    if low.any():
         raise ZeroProbabilityError(
-            f"outcome {tuple(int(b) for b in outcomes)} has probability {prob:.3e}"
+            f"outcome {tuple(int(b) for b in outcomes)} has probability {probs[low][0]:.3e}"
         )
-    return DensityMatrix(tuple(remaining), reduced / prob), prob
+    normalized = reduced / probs[:, None, None]
+    if basis.size is None:
+        return DensityMatrix(tuple(remaining), normalized[0]), float(probs[0])
+    return DensityStack(tuple(remaining), normalized), probs
 
 
-def measure_all_outcomes(
-    rho: DensityMatrix, basis: MeasurementBasis
-) -> list[tuple[tuple[int, ...], DensityMatrix | None, float]]:
-    """All 2^k outcome branches as (bits, state-or-None, probability)."""
+Branch = tuple[tuple[int, ...], DensityMatrix | None, float]
+
+
+def measure_all_outcomes(rho: DensityMatrix, basis: MeasurementBasis) -> list[Branch] | list[list[Branch]]:
+    """All 2^k outcome branches as (bits, state-or-None, probability), in
+    binary order of the bits; a branch of (numerically) zero probability
+    has state None and probability 0.
+
+    Every branch of every point is one row of a single projection.  For a
+    block basis, the result has one such list per point.
+    """
+    remaining = _unmeasured(rho, basis)
     k = len(basis.labels)
-    results = []
-    for idx in range(2**k):
-        bits = tuple((idx >> (k - 1 - j)) & 1 for j in range(k))
-        try:
-            state, prob = measure_project(rho, basis, bits)
-        except ZeroProbabilityError:
-            state, prob = None, 0.0
-        results.append((bits, state, prob))
-    return results
+    patterns = [tuple((idx >> (k - 1 - j)) & 1 for j in range(k)) for idx in range(2**k)]
+    bits = np.array(patterns)
+    vecs = []
+    for j, lab in enumerate(basis.labels):
+        # (points, bit, 2) -> one row per (point, pattern)
+        pair = np.stack([np.reshape(v, (-1, 2)) for v in basis.vectors(lab)], axis=1)
+        vecs.append(pair[:, bits[:, j]].reshape(-1, 2))
+    reduced = _project(rho, basis.labels, vecs, (basis.size or 1) * len(patterns))
+    probs = _probabilities(reduced)
+    branches: list[Branch] = []
+    for r, prob in enumerate(probs):
+        pattern = patterns[r % len(patterns)]
+        if prob < ZERO_PROBABILITY_TOL:
+            branches.append((pattern, None, 0.0))
+        else:
+            branches.append((pattern, DensityMatrix(tuple(remaining), reduced[r] / prob), float(prob)))
+    if basis.size is None:
+        return branches
+    return [branches[i : i + len(patterns)] for i in range(0, len(branches), len(patterns))]

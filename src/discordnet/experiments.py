@@ -21,7 +21,9 @@ scaled-down test run sets, and their defaults are the full study:
 Every study runs serially in one thread: the inner searches batch their own
 objective evaluations, so threads over grid points would only contend for the
 interpreter lock.  Every outer search over carrier angles prepares its
-register once with ``protocol.angle_sweep`` and only measures it per step.
+register once with ``protocol.angle_sweep`` and only measures it per step;
+``best_fidelity_state`` measures and scores each block of points its search
+hands out as one stack.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from . import correlations, protocol, search, states
 from .channels import correlated_dephasing
 from .correlations import Budget, FAST_BUDGET, FULL_BUDGET, discord_asym, entropy, gqd, gqd_min
-from .states import DensityMatrix, fidelity, fold_bloch, partial_trace
+from .states import DensityMatrix, DensityStack, fidelity, fold_bloch, partial_trace
 
 # Reduced basis-search budget used while an outer angle search is running;
 # the final reported optimum is always re-evaluated at the full budget.
@@ -379,13 +381,14 @@ def _refine_max(obj: Callable[[np.ndarray], float], x0: Sequence[float]) -> np.n
 
 def _two_pair_outputs(
     memories: DensityMatrix | None = None, memory_noise=None
-) -> Callable[[Sequence[float]], DensityMatrix]:
+) -> Callable[[Sequence[float]], DensityMatrix | DensityStack]:
     """Memory output of the two-pair protocol as a function of the carrier
-    angles [t1, t2, p1, p2], with the register prepared once."""
+    angles [t1, t2, p1, p2], with the register prepared once; a (k, 4) block
+    of angles gives a ``DensityStack`` of the k outputs."""
     run = protocol.angle_sweep(protocol.standard_config(
         [OPT_THETA, OPT_THETA], memories=memories, memory_noise=memory_noise
     ))
-    return lambda x: run(x[:2], x[2:]).final_state
+    return lambda x: run(np.asarray(x)[..., :2], np.asarray(x)[..., 2:]).final_state
 
 
 def memory_robustness(
@@ -564,12 +567,13 @@ def ghz_study(seed: int = 0) -> dict[str, float]:
 
 
 def _folded(x: np.ndarray) -> np.ndarray:
-    """Carrier angles [t1, t2, p1, p2] folded into their Bloch ranges.
+    """Carrier angles [t1, t2, p1, p2] folded into their Bloch ranges; each
+    row of a (k, 4) block alike.
 
     The outer searches run unbounded, so they may step outside [0, pi] x
     [0, 2pi); the fold maps each step to the same measurement.
     """
-    return np.concatenate(fold_bloch(x[:2], x[2:]))
+    return np.concatenate(fold_bloch(x[..., :2], x[..., 2:]), axis=-1)
 
 
 def _dephasing(p: float):
@@ -578,9 +582,10 @@ def _dephasing(p: float):
     return correlated_dephasing(p, 1.0) if p > 0 else None
 
 
-def _noisy_outputs(p: float) -> Callable[[np.ndarray], DensityMatrix]:
+def _noisy_outputs(p: float) -> Callable[[np.ndarray], DensityMatrix | DensityStack]:
     """Memory output of the two-pair protocol under dephasing of strength p,
-    as a function of the carrier angles x, which it folds."""
+    as a function of the carrier angles x, which it folds; a (k, 4) block
+    gives a stack of k outputs."""
     output = _two_pair_outputs(memory_noise=_dephasing(p))
     return lambda x: output(_folded(x))
 
@@ -629,10 +634,14 @@ def best_fidelity_state(
     seed: int = 0,
 ) -> tuple[np.ndarray, float, DensityMatrix]:
     """Carrier angles maximizing fidelity of the noisy protocol output with a
-    target two-qubit state; returns (angles, fidelity, state)."""
+    target two-qubit state; returns (angles, fidelity, state).
+
+    Each block of points the search hands out is folded, measured and
+    scored as one stack.
+    """
     output = _noisy_outputs(p)
     spec = search.SearchSpec(
-        objective=lambda x: fidelity(output(x), target),
+        batch=lambda pts: fidelity(output(pts), target),
         dimension=4,
         bounds=((0.0, math.pi),) * 2 + ((0.0, 2 * math.pi),) * 2,
         grid_resolution=9,

@@ -5,11 +5,13 @@ memory-channel classification analyses.
 
 A circuit runs in two steps.  ``_prepare`` builds the angle-independent part:
 memory noise, the carrier (x) memory tensor and the controlled gates.
-``_measure`` projects the interacting carriers at their measurement angles and
-traces out what is not retained.  ``run_circuit`` does both for one config;
-``angle_sweep`` prepares a config once and measures it at any number of
-carrier angles, for the outer angle searches.  Both go through the same two
-steps, so there is one simulation path.
+``_measure`` projects the interacting carriers at a block of k rows of
+measurement angles in one pass, one row per point on a leading axis, and
+traces out what is not retained.  ``run_circuit`` does both for one config,
+as the block of one row; ``angle_sweep`` prepares a config once and measures
+it at one point or a whole block of carrier angles, for the outer angle
+searches.  Both go through the same two steps, so there is one simulation
+path.
 
 Retention rule for partial-interaction runs: an index i whose carrier-memory
 pair does interact contributes M_i to the final state (C_i is measured and
@@ -36,7 +38,7 @@ from .channels import (
     measure_all_outcomes,
     measure_project,
 )
-from .states import DensityMatrix, StateError, partial_trace, tensor, trace_distance
+from .states import DensityMatrix, DensityStack, StateError, partial_trace, tensor, trace_distance
 
 # "Generic" angles for structure tests: away from the degenerate sets
 # {0, pi/2, pi} where one of the discord directions collapses.
@@ -91,35 +93,55 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
-    final_state: DensityMatrix
-    probability: float
+    """One protocol branch.  For a block of k angle points, ``final_state``
+    is a ``DensityStack`` and ``probability`` a length-k array, row i being
+    point i."""
+
+    final_state: DensityMatrix | DensityStack
+    probability: float | np.ndarray
     retained_labels: tuple[str, ...]
     outcome_bits: tuple[int, ...]
+
+
+# angles[i] = (thetas, phis) of carrier i, one entry per row of a block
+BlockAngles = Mapping[int, tuple[np.ndarray, np.ndarray]]
 
 
 def run_circuit(cfg: ProtocolConfig) -> ProtocolOutcome | list[ProtocolOutcome]:
     """Execute the protocol circuit; returns all branches when outcome='all'."""
     cfg = cfg.resolved()
-    return _measure(cfg, *_prepare(cfg))
+    angles = {i: ([theta], [phi]) for i, (theta, phi) in cfg.carrier_angles.items()}
+    return _first_row(_measure(cfg, *_prepare(cfg), angles, 1))
 
 
-def angle_sweep(cfg: ProtocolConfig) -> Callable[..., ProtocolOutcome | list[ProtocolOutcome]]:
+def angle_sweep(cfg: ProtocolConfig) -> Callable[..., ProtocolOutcome | list]:
     """``run(thetas, phis=None)``: the protocol of ``cfg`` at other carrier
     angles, with the register prepared once.
 
     ``run`` takes per-carrier angles as ``standard_config`` does (phis default
     to 0) and returns what ``run_circuit`` returns for ``cfg`` at those
-    angles, bit for bit.
+    angles, bit for bit.  Given (k, n) arrays instead, it measures all k
+    points in one pass: a fixed outcome gives one ``ProtocolOutcome`` of k
+    rows, and ``outcome='all'`` one branch list per point, since a branch
+    can vanish at some points only.  Row i equals the one-point call at
+    point i, bit for bit.
     """
     cfg = cfg.resolved()
     joint, retained = _prepare(cfg)
 
-    def run(thetas: Sequence[float], phis: Sequence[float] | None = None):
+    def run(thetas, phis=None):
+        thetas = np.asarray(thetas, dtype=float)
+        phis = np.zeros_like(thetas) if phis is None else np.asarray(phis, dtype=float)
         # One angle per carrier 1..n covers every interacting carrier, which
         # is all that resolving would check again.
-        if len(thetas) != cfg.n:
-            raise StateError(f"{len(thetas)} carrier angles for {cfg.n} carrier-memory pairs")
-        return _measure(replace(cfg, carrier_angles=_carrier_angles(thetas, phis)), joint, retained)
+        if thetas.ndim not in (1, 2) or thetas.shape[-1] != cfg.n:
+            raise StateError(f"carrier angles of shape {thetas.shape} for {cfg.n} carrier-memory pairs")
+        if phis.shape != thetas.shape:
+            raise StateError(f"phis of shape {phis.shape} for thetas of shape {thetas.shape}")
+        rows, row_phis = np.atleast_2d(thetas, phis)
+        angles = {i: (rows[:, i - 1], row_phis[:, i - 1]) for i in cfg.interactions}
+        out = _measure(cfg, joint, retained, angles, len(rows))
+        return out if thetas.ndim == 2 else _first_row(out)
 
     return run
 
@@ -138,29 +160,35 @@ def _prepare(cfg: ProtocolConfig) -> tuple[DensityMatrix, list[str]]:
 
 
 def _measure(
-    cfg: ProtocolConfig, joint: DensityMatrix, retained: list[str]
-) -> ProtocolOutcome | list[ProtocolOutcome]:
-    """Measure the interacting carriers of a prepared joint state at the
-    angles of the resolved ``cfg`` and keep the retained labels."""
-    basis = MeasurementBasis({f"C{i}": cfg.carrier_angles[i] for i in cfg.interactions})
+    cfg: ProtocolConfig, joint: DensityMatrix, retained: list[str], angles: BlockAngles, rows: int
+) -> ProtocolOutcome | list[list[ProtocolOutcome]]:
+    """Measure the interacting carriers of a prepared joint state at each of
+    the ``rows`` rows of ``angles`` and keep the retained labels: one
+    outcome of k rows, or for outcome='all' one branch list per row."""
+    basis = MeasurementBasis({f"C{i}": angles[i] for i in cfg.interactions}, size=rows)
+    keep = tuple(retained)
 
     if cfg.outcome == "all":
-        outcomes = []
-        for bits, state, prob in measure_all_outcomes(joint, basis):
-            if state is None:
-                continue
-            final = partial_trace(state, retained)
-            outcomes.append(ProtocolOutcome(final, prob, tuple(retained), bits))
-        return outcomes
+        return [
+            [ProtocolOutcome(partial_trace(state, retained), prob, keep, bits)
+             for bits, state, prob in branches if state is not None]
+            for branches in measure_all_outcomes(joint, basis)
+        ]
 
     bits = (
         tuple(0 for _ in cfg.interactions)
         if cfg.outcome == "zeros"
         else tuple(int(b) for b in cfg.outcome)
     )
-    state, prob = measure_project(joint, basis, bits)
-    final = partial_trace(state, retained)
-    return ProtocolOutcome(final, prob, tuple(retained), bits)
+    block, probs = measure_project(joint, basis, bits)
+    return ProtocolOutcome(partial_trace(block, retained), probs, keep, bits)
+
+
+def _first_row(out: ProtocolOutcome | list[list[ProtocolOutcome]]) -> ProtocolOutcome | list[ProtocolOutcome]:
+    """The one-point result from the block result of a one-row block."""
+    if isinstance(out, list):
+        return out[0]
+    return replace(out, final_state=out.final_state[0], probability=float(out.probability[0]))
 
 
 def _retained_labels(cfg: ProtocolConfig, joint: DensityMatrix) -> list[str]:

@@ -4,8 +4,9 @@
 several starts, returning the first start that reaches the lowest value.
 ``optimize`` puts a deterministic coarse grid scan in front of it, and the
 inner basis searches of ``correlations`` and the short carrier-angle
-refinements of ``experiments`` call it directly.  Its objective is a batch
-function mapping a (k, d) block of points to their k values.
+refinements of ``experiments`` call it directly.  Both evaluate through a
+batch function mapping a (k, d) block of points to their k values, and raise
+``SearchError`` as soon as a batch returns a non-finite value.
 
 Every Nelder-Mead runs through ``_nelder_mead``: scipy's non-adaptive,
 unbounded ``_minimize_neldermead`` rewritten as one generator per start,
@@ -36,7 +37,11 @@ class SearchError(ValueError):
 class SearchSpec:
     """Optimization problem over a small angle vector.
 
-    ``objective`` maps a 1-d float array of length ``dimension`` to a float.
+    Give exactly one of ``objective``, which maps a 1-d float array of
+    length ``dimension`` to a float, and ``batch``, which maps a (k,
+    ``dimension``) block of points to their k values; ``dimension`` and
+    ``bounds`` are required.  ``optimize`` hands out whole blocks either
+    way, so a batch function can score each block in one pass.
     ``bounds`` only shape the start points: the grid and the random starts
     lie in the box, but the Nelder-Mead refinement is unbounded and may leave
     it, so an objective must accept any finite point (fold angles if needed).
@@ -44,9 +49,9 @@ class SearchSpec:
     ``symmetry_groups``; the refinement is always unrestricted.
     """
 
-    objective: Callable[[np.ndarray], float]
-    dimension: int
-    bounds: tuple[tuple[float, float], ...]
+    objective: Callable[[np.ndarray], float] | None = None
+    dimension: int = 0
+    bounds: tuple[tuple[float, float], ...] = ()
     grid_resolution: int = 13
     multistarts: int = 3
     random_starts: int = 2
@@ -54,8 +59,11 @@ class SearchSpec:
     maximize: bool = False
     symmetry_groups: tuple[tuple[int, ...], ...] = ()
     seed: int = 0
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
+        if (self.objective is None) == (self.batch is None):
+            raise SearchError("give exactly one of objective and batch")
         if self.dimension < 1:
             raise SearchError("dimension must be >= 1")
         if len(self.bounds) != self.dimension:
@@ -213,13 +221,20 @@ def _nelder_mead(
     for i in range(len(runs)):
         advance(i, None)
     while pending:
-        values = np.asarray(batch(np.concatenate([pts for _, pts in pending])), dtype=float)
+        values = _finite(batch(np.concatenate([pts for _, pts in pending])))
         current, pending = pending, []
         offset = 0
         for i, pts in current:
             advance(i, values[offset : offset + len(pts)])
             offset += len(pts)
     return results
+
+
+def _finite(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise SearchError("objective returned a non-finite value")
+    return values
 
 
 def multistart(
@@ -233,7 +248,8 @@ def multistart(
 
     Returns the first start that reaches the lowest value, the evaluations of
     all starts, and whether every start stopped on its tolerances rather
-    than on ``maxfev``.
+    than on ``maxfev``.  Raises ``SearchError`` when a batch returns a
+    non-finite value.
     """
     if len(starts) == 0:
         raise SearchError("multistart needs at least one start")
@@ -253,14 +269,16 @@ def optimize(spec: SearchSpec) -> SearchResult:
     The best grid point is kept unless the refinement is strictly lower.
     """
     sign = -1.0 if spec.maximize else 1.0
+    evaluate = spec.batch or (lambda pts: [spec.objective(p) for p in pts])
 
     def batch(pts: np.ndarray) -> np.ndarray:
-        return sign * np.array([spec.objective(p) for p in pts], dtype=float)
+        vals = np.asarray(evaluate(pts), dtype=float)
+        if vals.shape != (len(pts),):
+            raise SearchError(f"batch returned shape {vals.shape} for {len(pts)} points")
+        return sign * vals
 
     pts = _grid_points(spec)
-    vals = batch(pts)
-    if not np.all(np.isfinite(vals)):
-        raise SearchError("objective returned a non-finite value")
+    vals = _finite(batch(pts))
 
     order = np.argsort(vals, kind="stable")
     starts = [pts[i] for i in order[: spec.multistarts]]

@@ -62,6 +62,45 @@ class PureState:
         return DensityMatrix(self.labels, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
+def _checked_matrix(m, n_qubits: int, stacked: bool) -> np.ndarray:
+    """m as a read-only copy after the density checks: one matrix, or a
+    (k, d, d) stack whose every matrix is held to the same rule."""
+    m = linalg.as_matrix(m, stacked=stacked)
+    d = 2**n_qubits
+    if m.shape[-2:] != (d, d):
+        raise StateError(f"matrix shape {m.shape} does not match {n_qubits} qubits")
+    _check_density(m if stacked else m[None])
+    m = m.copy()
+    m.setflags(write=False)
+    return m
+
+
+def _check_density(m: np.ndarray) -> None:
+    """Reject a (k, d, d) stack unless every matrix is unit-trace, Hermitian
+    and positive semidefinite; the error names the first matrix that fails."""
+    tr = np.trace(m, axis1=1, axis2=2)
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        raise StateError(f"trace {tr[off][0]} deviates from 1 beyond {TRACE_TOL:.0e}")
+    if linalg.hermiticity_defect(m) > linalg.HERMITICITY_TOL:
+        raise StateError("density matrix is not Hermitian within tolerance")
+    # Registers are capped at 6 qubits; transient joint carrier+memory
+    # states can be larger, where the O(d^3) positivity check would
+    # dominate the whole simulation.  Trace/Hermiticity still hold there.
+    d = m.shape[-1]
+    if d <= 64:
+        # A Cholesky factor of m + PSD_TOL*I exists when every eigenvalue
+        # of m exceeds -PSD_TOL, at half the cost of the spectrum.  When it
+        # fails the spectrum decides, so the acceptance rule stays exact.
+        try:
+            np.linalg.cholesky(m + PSD_TOL * np.eye(d))
+        except np.linalg.LinAlgError:
+            min_eig = np.linalg.eigvalsh(m)[:, 0]
+            low = min_eig < -PSD_TOL
+            if low.any():
+                raise StateError(f"minimum eigenvalue {float(min_eig[low][0])} below -{PSD_TOL:.0e}") from None
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, PSD matrix over an ordered list of qubit labels."""
@@ -71,31 +110,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", _check_labels(self.labels))
-        m = linalg.as_matrix(self.matrix)
-        d = 2 ** len(self.labels)
-        if m.shape != (d, d):
-            raise StateError(f"matrix shape {m.shape} does not match {len(self.labels)} qubits")
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise StateError(f"trace {tr} deviates from 1 beyond {TRACE_TOL:.0e}")
-        if linalg.hermiticity_defect(m) > linalg.HERMITICITY_TOL:
-            raise StateError("density matrix is not Hermitian within tolerance")
-        # Registers are capped at 6 qubits; transient joint carrier+memory
-        # states can be larger, where the O(d^3) positivity check would
-        # dominate the whole simulation.  Trace/Hermiticity still hold there.
-        if d <= 64:
-            # A Cholesky factor of m + PSD_TOL*I exists when every eigenvalue
-            # of m exceeds -PSD_TOL, at half the cost of the spectrum.  When it
-            # fails the spectrum decides, so the acceptance rule stays exact.
-            try:
-                np.linalg.cholesky(m + PSD_TOL * np.eye(d))
-            except np.linalg.LinAlgError:
-                min_eig = float(np.linalg.eigvalsh(m)[0])
-                if min_eig < -PSD_TOL:
-                    raise StateError(f"minimum eigenvalue {min_eig} below -{PSD_TOL:.0e}") from None
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _checked_matrix(self.matrix, len(self.labels), False))
 
     @property
     def n_qubits(self) -> int:
@@ -111,6 +126,33 @@ class DensityMatrix:
         """Matrix reshaped to a rank-2n tensor (row axes first, then column axes)."""
         n = self.n_qubits
         return self.matrix.reshape((2,) * (2 * n))
+
+
+@dataclass(frozen=True)
+class DensityStack:
+    """k density matrices over one ordered list of qubit labels.
+
+    ``matrix`` is a (k, d, d) array; every one of its matrices passes the
+    checks of ``DensityMatrix``.  ``stack[i]`` is matrix i as a
+    ``DensityMatrix``.
+    """
+
+    labels: tuple[str, ...]
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", _check_labels(self.labels))
+        object.__setattr__(self, "matrix", _checked_matrix(self.matrix, len(self.labels), True))
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.labels)
+
+    def __len__(self) -> int:
+        return len(self.matrix)
+
+    def __getitem__(self, i: int) -> DensityMatrix:
+        return DensityMatrix(self.labels, self.matrix[i])
 
 
 def bloch_state(theta: float, phi: float, label: str = "Q") -> PureState:
@@ -131,11 +173,16 @@ def bloch_orthogonal(theta: float, phi: float) -> PureState:
     )
 
 
-def _check_bloch_angles(theta: float, phi: float) -> None:
-    if not (-1e-12 <= theta <= math.pi + 1e-12):
-        raise StateError(f"theta {theta} outside [0, pi]")
-    if not (-1e-12 <= phi < 2 * math.pi + 1e-12):
-        raise StateError(f"phi {phi} outside [0, 2pi)")
+def _check_bloch_angles(theta, phi) -> None:
+    """Raise unless theta lies in [0, pi] and phi in [0, 2pi); for arrays of
+    angles, every one of them, naming the first that does not."""
+    theta, phi = np.asarray(theta), np.asarray(phi)
+    ok = (-1e-12 <= theta) & (theta <= math.pi + 1e-12)
+    if not ok.all():
+        raise StateError(f"theta {float(theta[~ok][0])} outside [0, pi]")
+    ok = (-1e-12 <= phi) & (phi < 2 * math.pi + 1e-12)
+    if not ok.all():
+        raise StateError(f"phi {float(phi[~ok][0])} outside [0, 2pi)")
 
 
 def fold_bloch(thetas, phis) -> tuple[np.ndarray, np.ndarray]:
@@ -168,8 +215,9 @@ def tensor(states: Sequence[DensityMatrix]) -> DensityMatrix:
     return DensityMatrix(tuple(labels), m)
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
-    """Reduced state on ``keep`` (original label order preserved)."""
+def partial_trace(rho: DensityMatrix | DensityStack, keep: Iterable[str]) -> DensityMatrix | DensityStack:
+    """Reduced state on ``keep`` (original label order preserved); of every
+    matrix, for a stack."""
     keep = set(keep)
     unknown = keep - set(rho.labels)
     if unknown:
@@ -182,27 +230,39 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     kept = [i for i, lab in enumerate(rho.labels) if lab in keep]
     traced = [i for i, lab in enumerate(rho.labels) if lab not in keep]
     # Group the axes as (kept rows, traced rows, kept cols, traced cols) and sum
-    # the diagonal of the traced pair.
-    order = kept + traced + [i + n for i in kept] + [i + n for i in traced]
+    # the diagonal of the traced pair; a stack keeps its leading axis in front.
+    lead = rho.matrix.shape[:-2]
+    b = len(lead)
+    order = [*range(b)] + [b + i for i in kept + traced + [i + n for i in kept] + [i + n for i in traced]]
     d, dt = 2 ** len(kept), 2 ** len(traced)
-    t = rho.tensor_view().transpose(order).reshape(d, dt, d, dt)
-    reduced = np.trace(t, axis1=1, axis2=3)
-    return DensityMatrix(tuple(rho.labels[i] for i in kept), reduced)
+    t = rho.matrix.reshape(lead + (2,) * (2 * n)).transpose(order).reshape(lead + (d, dt, d, dt))
+    reduced = np.trace(t, axis1=b + 1, axis2=b + 3)
+    return type(rho)(tuple(rho.labels[i] for i in kept), reduced)
 
 
 def purity(rho: DensityMatrix) -> float:
     return float(np.real(np.trace(rho.matrix @ rho.matrix)))
 
 
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity, squared convention: (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    if rho.matrix.shape != sigma.matrix.shape:
+def fidelity(rho: DensityMatrix | DensityStack, sigma: DensityMatrix | DensityStack) -> float | np.ndarray:
+    """Uhlmann fidelity, squared convention: (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
+
+    Either argument may be a stack; then the result is an array with one
+    fidelity per matrix (both stacks of one length, or one stack against a
+    single state), each equal to the one-pair call.
+    """
+    a, b = rho.matrix, sigma.matrix
+    if a.shape[-2:] != b.shape[-2:]:
         raise StateError("fidelity of states with different dimensions")
-    sqrt_rho = linalg.mat_fn(rho.matrix, lambda x: math.sqrt(max(x, 0.0)))
-    inner = sqrt_rho @ sigma.matrix @ sqrt_rho
-    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    f = float(np.sum(np.sqrt(np.clip(vals, 0.0, None))) ** 2)
-    return min(max(f, 0.0), 1.0)
+    if a.ndim == b.ndim == 3 and len(a) != len(b):
+        raise StateError(f"fidelity of stacks of {len(a)} and {len(b)} states")
+    sqrt_rho = linalg.mat_fn(a if a.ndim == 3 else a[None], lambda x: math.sqrt(max(x, 0.0)))
+    inner = sqrt_rho @ b @ sqrt_rho
+    vals = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2)
+    # float_power is libm pow, as np.float64 ** 2 is; an array ** 2 is a
+    # multiply and can differ in the last bit.
+    f = np.clip(np.float_power(np.sum(np.sqrt(np.clip(vals, 0.0, None)), axis=-1), 2), 0.0, 1.0)
+    return f if a.ndim == 3 or b.ndim == 3 else float(f[0])
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

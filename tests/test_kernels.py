@@ -20,9 +20,10 @@ from discordnet.channels import (
     apply_kraus,
     apply_unitary,
     correlated_dephasing,
+    measure_all_outcomes,
     measure_project,
 )
-from discordnet.states import DensityMatrix, StateError, partial_trace
+from discordnet.states import DensityMatrix, DensityStack, StateError, partial_trace
 
 LABELS = ("a", "b", "c", "d", "e", "f")
 ATOL = 1e-12
@@ -200,6 +201,60 @@ def test_measure_project_is_bit_identical_to_optimized_einsum(rng, n):
         state, prob = measure_project(rho, basis, bits)
         assert prob == float(np.real(np.trace(reduced)))
         assert np.array_equal(state.matrix, reduced / prob)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_measure_project_block_rows_equal_single_points(rng, n):
+    rho = random_state(rng, n)
+    measured = pick_labels(rng, n, int(rng.integers(1, n)))
+    k = 5
+    thetas = rng.uniform(0, math.pi, size=(len(measured), k))
+    phis = rng.uniform(0, 2 * math.pi, size=(len(measured), k))
+    bits = tuple(int(b) for b in rng.integers(0, 2, size=len(measured)))
+    block = MeasurementBasis({lab: (thetas[j], phis[j]) for j, lab in enumerate(measured)})
+    assert block.size == k
+    stack, probs = measure_project(rho, block, bits)
+    assert isinstance(stack, DensityStack) and probs.shape == (k,)
+    for r in range(k):
+        point = MeasurementBasis(
+            {lab: (float(thetas[j, r]), float(phis[j, r])) for j, lab in enumerate(measured)}
+        )
+        state, prob = measure_project(rho, point, bits)
+        assert np.array_equal(stack.matrix[r], state.matrix)
+        assert probs[r] == prob
+        assert stack.labels == state.labels
+    # the stacked partial trace is the partial trace of each row
+    keep = stack.labels[:1]
+    reduced = partial_trace(stack, keep)
+    for r in range(k):
+        assert np.array_equal(reduced.matrix[r], partial_trace(stack[r], keep).matrix)
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_measure_all_outcomes_equals_each_projection(rng, pure):
+    if pure:  # |0><0| on C1: the branches of outcome 1 have zero probability
+        rho = DensityMatrix(("C1", "M1", "C2"), np.kron(np.diag([1.0, 0.0]), np.eye(4) / 4))
+        basis = MeasurementBasis({"C1": (0.0, 0.0), "C2": (1.1, 0.4)})
+    else:
+        rho = DensityMatrix(("C1", "M1", "C2"), random_state(rng, 3).matrix)
+        basis = MeasurementBasis({"C2": (0.7, 2.0), "C1": (2.9, 5.5)})
+    branches = measure_all_outcomes(rho, basis)
+    assert [bits for bits, _, _ in branches] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for bits, state, prob in branches:
+        if pure and bits[0] == 1:
+            assert (state, prob) == (None, 0.0)
+            continue
+        want, want_prob = measure_project(rho, basis, bits)
+        assert np.array_equal(state.matrix, want.matrix) and prob == want_prob
+    # a block gives one branch list per point, each equal to that point's
+    block = MeasurementBasis({lab: ([a[0]] * 2, [a[1]] * 2) for lab, a in basis.angles.items()})
+    per_point = measure_all_outcomes(rho, block)
+    assert len(per_point) == 2
+    for point in per_point:
+        for (bits, state, prob), (want_bits, want, want_prob) in zip(point, branches):
+            assert bits == want_bits and prob == want_prob
+            assert (state is None) == (want is None)
+            assert state is None or np.array_equal(state.matrix, want.matrix)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

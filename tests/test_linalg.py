@@ -48,3 +48,22 @@ def test_mat_fn_sqrt_squares_back(rng):
 def test_mat_fn_log_of_identity():
     out = linalg.mat_fn(np.eye(4), math.log)
     assert np.allclose(out, np.zeros((4, 4)))
+
+
+def test_stacks_are_treated_matrix_by_matrix(rng):
+    mats = np.array([random_hermitian(rng, 4) for _ in range(6)])
+    mats[3, 0, 2] += 3e-9  # one non-Hermitian matrix sets the stack's defect
+    assert linalg.hermiticity_defect(mats) == max(linalg.hermiticity_defect(m) for m in mats)
+    assert linalg.hermiticity_defect(mats) > linalg.HERMITICITY_TOL
+    psd = mats @ mats.conj().swapaxes(-1, -2)
+    psd = (psd + psd.conj().swapaxes(-1, -2)) / 2
+    dec = linalg.eigh(psd)
+    roots = linalg.mat_fn(psd, math.sqrt)
+    for i, m in enumerate(psd):
+        one = linalg.eigh(m)
+        assert np.array_equal(dec.eigenvalues[i], one.eigenvalues)
+        assert np.array_equal(dec.eigenvectors[i], one.eigenvectors)
+        assert np.array_equal(roots[i], linalg.mat_fn(m, math.sqrt))
+    assert np.allclose(dec.reconstruct(), psd, atol=1e-10)
+    with pytest.raises(linalg.LinalgError):
+        linalg.mat_fn(mats, math.sqrt)

@@ -194,20 +194,43 @@ def test_effective_channel_not_factorizable():
     (protocol.standard_config([0.3, 0.4], outcome="all"), ([0.9, 1.3], [0.2, 0.8])),
 ])
 def test_angle_sweep_is_bit_identical_to_run_circuit(cfg, angles):
+    def direct(thetas, phis):
+        return protocol.run_circuit(replace(cfg, carrier_angles={
+            i + 1: (thetas[i], phis[i] if phis is not None else 0.0) for i in range(len(thetas))
+        }))
+
+    def assert_same(swept, ref):
+        if cfg.outcome != "all":
+            swept, ref = [swept], [ref]
+        assert len(swept) == len(ref)
+        for a, b in zip(swept, ref):
+            assert np.array_equal(a.final_state.matrix, b.final_state.matrix)
+            assert a.final_state.labels == b.final_state.labels
+            assert a.probability == b.probability
+            assert a.retained_labels == b.retained_labels
+            assert a.outcome_bits == b.outcome_bits
+
     thetas, phis = angles
-    swept = protocol.angle_sweep(cfg)(thetas, phis)
-    direct = protocol.run_circuit(replace(cfg, carrier_angles={
-        i + 1: (thetas[i], phis[i] if phis is not None else 0.0) for i in range(len(thetas))
-    }))
-    if cfg.outcome != "all":
-        swept, direct = [swept], [direct]
-    assert len(swept) == len(direct)
-    for a, b in zip(swept, direct):
-        assert np.array_equal(a.final_state.matrix, b.final_state.matrix)
-        assert a.final_state.labels == b.final_state.labels
-        assert a.probability == b.probability
-        assert a.retained_labels == b.retained_labels
-        assert a.outcome_bits == b.outcome_bits
+    run = protocol.angle_sweep(cfg)
+    assert_same(run(thetas, phis), direct(thetas, phis))
+
+    # a block of 5 points: every row equals run_circuit at that point
+    shifts = np.array([0.0, 0.1, -0.2, 0.35, 0.6])[:, None]
+    block_thetas = np.clip(np.array(thetas) + shifts, 0.0, math.pi)
+    block_phis = None if phis is None else np.mod(np.array(phis) + 2 * shifts, 2 * math.pi)
+    block = run(block_thetas, block_phis)
+    for r in range(len(shifts)):
+        row_phis = None if phis is None else list(block_phis[r])
+        ref = direct(list(block_thetas[r]), row_phis)
+        if cfg.outcome == "all":
+            assert_same(block[r], ref)
+        else:
+            assert isinstance(block.final_state, states.DensityStack)
+            assert len(block.final_state) == len(shifts)
+            assert np.array_equal(block.final_state.matrix[r], ref.final_state.matrix)
+            assert block.final_state.labels == ref.final_state.labels
+            assert block.probability[r] == ref.probability
+            assert (block.retained_labels, block.outcome_bits) == (ref.retained_labels, ref.outcome_bits)
 
 
 def test_angle_sweep_rejects_bad_angles():
@@ -216,3 +239,20 @@ def test_angle_sweep_rejects_bad_angles():
         run([0.9, 4.0])
     with pytest.raises(StateError, match="carrier angles"):
         run([0.9])
+    # every angle of a block is checked, and the block keeps its shape
+    with pytest.raises(StateError, match="theta 4.0 outside"):
+        run(np.array([[0.9, 0.9], [0.9, 4.0], [1.0, 1.0]]))
+    with pytest.raises(StateError, match="carrier angles"):
+        run(np.full((3, 3), 0.9))
+    with pytest.raises(StateError, match="phis of shape"):
+        run(np.full((3, 2), 0.9), np.zeros((2, 2)))
+
+
+def test_angle_sweep_without_interacting_carriers():
+    # nothing is measured: every row of a block is the one-point run
+    cfg = protocol.standard_config([0.3, 0.4], interactions=[])
+    block = protocol.angle_sweep(cfg)(np.full((3, 2), 0.5))
+    one = protocol.run_circuit(cfg)
+    assert block.final_state.labels == one.final_state.labels == ("C1", "C2")
+    assert all(np.array_equal(m, one.final_state.matrix) for m in block.final_state.matrix)
+    assert list(block.probability) == [one.probability] * 3

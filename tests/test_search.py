@@ -112,12 +112,13 @@ def test_spec_validation():
         SearchSpec(quadratic, 2, ((0.0, 1.0),))
     with pytest.raises(SearchError):
         SearchSpec(quadratic, 1, ((0.0, 1.0),), multistarts=0, random_starts=0)
-
-
-def test_nonfinite_objective_rejected():
-    spec = SearchSpec(lambda x: float("nan"), 1, ((0, 1),))
-    with pytest.raises(SearchError):
-        optimize(spec)
+    box = dict(dimension=1, bounds=((0.0, 1.0),))
+    with pytest.raises(SearchError, match="exactly one"):
+        SearchSpec(**box)
+    with pytest.raises(SearchError, match="exactly one"):
+        SearchSpec(objective=quadratic, batch=lambda pts: pts[:, 0], **box)
+    with pytest.raises(SearchError, match="shape"):
+        optimize(SearchSpec(batch=lambda pts: pts, **box))
 
 
 def test_uniform_average_zero_width():
@@ -264,3 +265,40 @@ def test_objective_batch_rows_equal_one_point_calls():
     single = [obj.batch(p[:1], p[1:])[0] for p in pts]
     for size in range(1, len(pts) + 1):
         assert np.array_equal(obj.batch(pts[:size, 0], pts[:size, 1]), single[:size]), size
+
+
+def test_nonfinite_objective_rejected():
+    spec = SearchSpec(lambda x: float("nan"), 1, ((0, 1),))
+    with pytest.raises(SearchError):
+        optimize(spec)
+    # finite on the 5 grid points and NaN everywhere else: the grid passes,
+    # the first refinement step does not
+    grid = set(np.linspace(0.0, 1.0, 5))
+    spec = SearchSpec(lambda x: float(x[0]) if x[0] in grid else math.nan, 1, ((0, 1),),
+                      grid_resolution=5)
+    with pytest.raises(SearchError, match="non-finite"):
+        optimize(spec)
+    with pytest.raises(SearchError, match="non-finite"):
+        multistart(lambda pts: np.where(pts[:, 0] == 0.4, 0.0, math.inf),
+                   [np.array([0.4])], xatol=1e-6, fatol=1e-6, maxfev=100)
+
+
+def _rugged_batch(pts):
+    return np.sin(7 * pts[:, 0]) * np.cos(9 * pts[:, 1]) + 0.1 * pts[:, 0]
+
+
+@pytest.mark.parametrize("point, batch, options", [
+    (quadratic, lambda pts: np.sum((pts - 0.3) ** 2, axis=1),
+     dict(dimension=2, bounds=((-1, 1), (-1, 1)))),
+    (lambda x: float(_rugged_batch(x[None])[0]), _rugged_batch,
+     dict(dimension=2, bounds=((0, math.pi), (0, math.pi)), grid_resolution=3,
+          multistarts=1, random_starts=0)),
+    (lambda x: float(_rugged_batch(x[None])[0]), _rugged_batch,
+     dict(dimension=2, bounds=((0, math.pi), (0, math.pi)), grid_resolution=15,
+          multistarts=4, random_starts=2, maximize=True)),
+], ids=["quadratic", "rugged_cheap", "rugged_rich_max"])
+def test_batch_objective_equals_its_point_form(point, batch, options):
+    a = optimize(SearchSpec(objective=point, **options))
+    b = optimize(SearchSpec(batch=batch, **options))
+    assert np.array_equal(a.argopt, b.argopt)
+    assert (a.value, a.evaluations, a.converged) == (b.value, b.evaluations, b.converged)

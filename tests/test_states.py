@@ -6,6 +6,7 @@ import pytest
 from discordnet import linalg, states
 from discordnet.states import (
     DensityMatrix,
+    DensityStack,
     PureState,
     StateError,
     bloch_orthogonal,
@@ -159,6 +160,53 @@ def test_fidelity_bounds_and_symmetry():
     assert 0.0 <= f <= 1.0
     assert abs(f - fidelity(sigma, rho)) < 1e-10
     assert abs(fidelity(rho, rho) - 1.0) < 1e-10
+
+
+def _random_density(rng, d: int, rank: int) -> np.ndarray:
+    a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    m = a @ a.conj().T
+    return m / np.trace(m)
+
+
+def test_stacked_fidelity_rows_equal_the_one_pair_call(rng):
+    labels = ("M1", "M2")
+    ranks = [1, 2, 3, 4, 4] * 10
+    rhos = [_random_density(rng, 4, r) for r in ranks]
+    sigmas = [_random_density(rng, 4, r) for r in ranks[::-1]]
+    pairs = [(DensityMatrix(labels, a), DensityMatrix(labels, b)) for a, b in zip(rhos, sigmas)]
+    stacked = fidelity(DensityStack(labels, rhos), DensityStack(labels, sigmas))
+    assert stacked.shape == (50,)
+    assert all(stacked[i] == fidelity(a, b) for i, (a, b) in enumerate(pairs))
+    # one stack against one state, either way round
+    against = fidelity(DensityStack(labels, rhos), pairs[0][1])
+    assert all(against[i] == fidelity(a, pairs[0][1]) for i, (a, _) in enumerate(pairs))
+    reverse = fidelity(pairs[0][1], DensityStack(labels, rhos))
+    assert all(reverse[i] == fidelity(pairs[0][1], a) for i, (a, _) in enumerate(pairs))
+    with pytest.raises(StateError, match="stacks of 50 and 3"):
+        fidelity(DensityStack(labels, rhos), DensityStack(labels, sigmas[:3]))
+
+
+def test_stack_rejects_one_bad_matrix_as_density_matrix_does(rng):
+    labels = ("M1", "M2")
+    good = [_random_density(rng, 4, 4) for _ in range(4)]
+    non_hermitian = good[0].copy()
+    non_hermitian[0, 1] += 1e-8j
+    bad = {
+        "trace": good[0] * (1 + 1e-9),
+        "hermitian": non_hermitian,
+        "psd": np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex),
+    }
+    for kind, m in bad.items():
+        with pytest.raises(StateError) as single:
+            DensityMatrix(labels, m)
+        with pytest.raises(StateError) as stacked:
+            DensityStack(labels, good[:2] + [m] + good[2:])
+        assert str(stacked.value) == str(single.value), kind
+    stack = DensityStack(labels, good)
+    assert len(stack) == 4
+    assert np.array_equal(stack[2].matrix, good[2]) and stack[2].labels == labels
+    with pytest.raises(StateError, match="does not match"):
+        DensityStack(labels, [np.eye(2) / 2])
 
 
 def test_trace_distance_extremes():
