@@ -2,11 +2,13 @@
 asymmetric quantum discord, relative entropy and global quantum discord
 (GQD), each with its internal minimization over local projective bases.
 
-The basis searches are a grid scan followed by ``search.multistart``.
-Objective evaluation is vectorized over batches of candidate bases, which is
-what makes the nested protocol optimizations elsewhere in the package
-tractable: the grids are evaluated in chunks, and the Nelder-Mead starts of
-one search advance in lockstep, so each simplex step of all starts costs one
+The basis searches are a grid scan followed by ``search.multistart``:
+``gqd_min`` scans one basis shared by all parties, ``conditional_entropy_min``
+the one measured qubit.  Objective evaluation is vectorized over batches of
+candidate bases, which is what makes the nested protocol optimizations
+elsewhere in the package tractable: a grid is evaluated in blocks of at most
+``_BLOCK_ENTRIES`` product-basis entries, and the Nelder-Mead starts of one
+search advance in lockstep, so each simplex step of all starts costs one
 batched call.  A batch row equals the one-point value bit for bit, so the
 lockstep search returns what one scipy Nelder-Mead per start would.
 """
@@ -26,7 +28,9 @@ from .states import DensityMatrix, StateError, fold_bloch, partial_trace
 # Correlation values in (-NEGATIVE_CLAMP, 0) are reported as exactly 0.
 NEGATIVE_CLAMP = 1e-9
 
-_CHUNK = 16384
+# Product-basis entries (points x 4^N) per grid block: bounds the
+# (points, 2^N, 2^N) arrays one objective call holds at N qubits.
+_BLOCK_ENTRIES = 2**18
 
 
 def _shannon(p: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -161,18 +165,16 @@ class DiscordResult:
 class Budget:
     """Search effort knobs for the internal basis minimizations."""
 
-    # theta x phi points per qubit on the joint grid for n = 2, 3, ... qubits;
-    # no joint grid past the end.  The discord grid uses max(joint_grid[0], 13).
-    joint_grid: tuple[int, ...]
-    sym_grid: int  # theta x phi points for the symmetric (tied-basis) grid
+    discord_grid: int  # theta x phi side of the measured qubit's grid (discord)
+    sym_grid: int  # theta x phi side of the symmetric (tied-basis) grid (GQD)
     nm_starts: int  # refinements launched from the best grid points
     random_starts: int  # extra seeded random restarts
     xatol: float = 1e-7
     fatol: float = 1e-10
 
 
-FULL_BUDGET = Budget(joint_grid=(25, 9), sym_grid=41, nm_starts=5, random_starts=4)
-FAST_BUDGET = Budget(joint_grid=(9,), sym_grid=21, nm_starts=3, random_starts=2)
+FULL_BUDGET = Budget(discord_grid=25, sym_grid=41, nm_starts=5, random_starts=4)
+FAST_BUDGET = Budget(discord_grid=13, sym_grid=21, nm_starts=3, random_starts=2)
 
 _BUDGETS = {"full": FULL_BUDGET, "fast": FAST_BUDGET}
 
@@ -186,41 +188,26 @@ def _resolve_budget(budget: str | Budget) -> Budget:
         raise ValueError(f"unknown budget {budget!r}; use 'full' or 'fast'") from None
 
 
-def _theta_grid(g: int) -> np.ndarray:
-    return np.linspace(0.0, math.pi, g)
+def _angle_grid(g: int) -> np.ndarray:
+    """One qubit's g x g grid of (theta, phi) rows, theta-major; shape (g^2, 2)."""
+    thetas, phis = np.meshgrid(
+        np.linspace(0.0, math.pi, g),
+        np.linspace(0.0, 2 * math.pi, g, endpoint=False),
+        indexing="ij",
+    )
+    return np.stack([thetas.ravel(), phis.ravel()], axis=1)
 
 
-def _phi_grid(g: int) -> np.ndarray:
-    return np.linspace(0.0, 2 * math.pi, g, endpoint=False)
-
-
-def _joint_grid(n: int, g: int) -> np.ndarray:
-    """All per-qubit (theta, phi) combinations; shape (g^2n... , 2n)."""
-    axes = []
-    for _ in range(n):
-        axes.append(_theta_grid(g))
-    for _ in range(n):
-        axes.append(_phi_grid(g))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def _grid_minimum(obj: _GqdObjective, points: np.ndarray, n: int, top: int):
-    """Evaluate a point matrix (rows = [thetas..., phis...]) in chunks."""
-    best_vals = None
-    best_pts = None
-    for start in range(0, points.shape[0], _CHUNK):
-        block = points[start : start + _CHUNK]
-        vals = obj.batch(block[:, :n], block[:, n:])
-        order = np.argsort(vals)[:top]
-        if best_vals is None:
-            best_vals, best_pts = vals[order], block[order]
-        else:
-            vals = np.concatenate([best_vals, vals[order]])
-            pts = np.concatenate([best_pts, block[order]])
-            order = np.argsort(vals)[:top]
-            best_vals, best_pts = vals[order], pts[order]
-    return best_vals, best_pts
+def _grid_minimum(obj: _GqdObjective, points: np.ndarray, n: int, top: int) -> np.ndarray:
+    """The ``top`` lowest rows of a point matrix (rows = [thetas..., phis...]),
+    scored in blocks of at most ``_BLOCK_ENTRIES`` product-basis entries and
+    ranked in one sort, so the blocks do not change which of tied rows win."""
+    size = max(1, _BLOCK_ENTRIES >> 2 * n)
+    vals = np.concatenate([
+        obj.batch(points[start : start + size, :n], points[start : start + size, n:])
+        for start in range(0, points.shape[0], size)
+    ])
+    return points[np.argsort(vals)[:top]]
 
 
 def gqd(
@@ -253,9 +240,9 @@ def gqd_min(
 ) -> DiscordResult:
     """Global quantum discord: minimize the pinching objective over local bases.
 
-    Strategy: a symmetric tied-basis grid, a coarse joint grid for the sizes
-    the budget lists, then ``search.multistart`` in the full 2N-dimensional
-    angle space.
+    Strategy: a symmetric tied-basis grid, seeded random starts, then
+    ``search.multistart`` from the best grid points and the random starts in
+    the full 2N-dimensional angle space.
     """
     b = _resolve_budget(budget)
     n = rho.n_qubits
@@ -267,17 +254,11 @@ def gqd_min(
     starts: list[np.ndarray] = []
     # Symmetric grid: same basis on every party.  Cheap, and protocol-family
     # optima are symmetric, so this is an excellent warm start.
-    sym = _joint_grid(1, b.sym_grid)
+    sym = _angle_grid(b.sym_grid)
     sym_full = np.concatenate(
         [np.repeat(sym[:, :1], n, axis=1), np.repeat(sym[:, 1:], n, axis=1)], axis=1
     )
-    _, sym_best = _grid_minimum(obj, sym_full, n, max(2, b.nm_starts - 1))
-    starts.extend(sym_best)
-
-    # Joint tensor grid where the budget lists one for this size.
-    if n - 2 < len(b.joint_grid):
-        _, best = _grid_minimum(obj, _joint_grid(n, b.joint_grid[n - 2]), n, b.nm_starts)
-        starts.extend(best)
+    starts.extend(_grid_minimum(obj, sym_full, n, max(2, b.nm_starts - 1)))
 
     for _ in range(b.random_starts):
         starts.append(
@@ -341,11 +322,10 @@ def conditional_entropy_min(
     b = _resolve_budget(budget)
     obj = _DiscordObjective(rho, measured)
     rng = np.random.default_rng(seed)
-    g = max(b.joint_grid[:1] + (13,))
-    tgrid, pgrid = np.meshgrid(_theta_grid(g), _phi_grid(g), indexing="ij")
-    vals = obj.batch(tgrid.ravel(), pgrid.ravel())
+    grid = _angle_grid(b.discord_grid)
+    vals = obj.batch(grid[:, 0], grid[:, 1])
     order = np.argsort(vals)[: b.nm_starts]
-    starts = [np.array([tgrid.ravel()[i], pgrid.ravel()[i]]) for i in order]
+    starts = [grid[i] for i in order]
     for _ in range(b.random_starts):
         starts.append(np.array([rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)]))
     res = multistart(lambda x: obj.batch(x[:, 0], x[:, 1]), starts, b.xatol, b.fatol, 800)

@@ -1,10 +1,11 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from discordnet import protocol, states
+from discordnet import correlations, protocol, states
 from discordnet.correlations import (
     FAST_BUDGET,
     FULL_BUDGET,
@@ -158,7 +159,60 @@ def test_equal_budget_gives_identical_result():
     want = gqd_min(rho, budget=FULL_BUDGET, seed=0)
     got = gqd_min(rho, budget=dataclasses.replace(FULL_BUDGET), seed=0)
     assert got == want
-    assert want.evaluations > 9 ** 6  # the 3-qubit joint grid of the full budget ran
+
+
+def test_grid_blocks_are_bounded_by_product_basis_entries(monkeypatch):
+    # One objective call holds (points, 2^N, 2^N) basis arrays; the full
+    # budget's 41 x 41 tied grid in one call at N = 5 would hold 1681 x 4^5.
+    rho = protocol.run_circuit(protocol.standard_config([0.9] * 5)).final_state
+    batch = correlations._GqdObjective.batch
+    points = []
+
+    def spy(self, thetas, phis):
+        points.append(np.atleast_2d(thetas).shape[0])
+        return batch(self, thetas, phis)
+
+    monkeypatch.setattr(correlations._GqdObjective, "batch", spy)
+    result = gqd_min(rho, budget=FULL_BUDGET, seed=0)
+    assert sum(points) == result.evaluations
+    assert max(points) * 4 ** 5 <= 2 ** 18
+    # the grid has tied minima; splitting it into blocks must not change
+    # which of them seed the refinement
+    monkeypatch.setattr(correlations, "_BLOCK_ENTRIES", 41 ** 2 * 4 ** 5)
+    assert gqd_min(rho, budget=FULL_BUDGET, seed=0) == result
+
+
+def _random_state(n, rank, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))
+    m = g @ g.conj().T
+    return DensityMatrix(tuple(f"Q{i}" for i in range(n)), m / np.real(np.trace(m)))
+
+
+def _joint_grid_minimum(rho, g=9):
+    """Minimum of the GQD objective over the g^(2N) tensor grid of all
+    per-qubit angles, scored one theta row (g^N phi rows) at a time."""
+    n = rho.n_qubits
+    obj = correlations._GqdObjective(rho)
+    phis = np.array(list(itertools.product(np.linspace(0.0, 2 * math.pi, g, endpoint=False),
+                                           repeat=n)))
+    return min(
+        float(np.min(obj.batch(np.tile(thetas, (len(phis), 1)), phis)))
+        for thetas in itertools.product(np.linspace(0.0, math.pi, g), repeat=n)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, rank, seed",
+    [(2, rank, seed) for rank in (1, 2, 3, 4) for seed in (0, 1)]
+    + [(3, 1, 2), (3, 2, 3), (3, 8, 4)],
+)
+def test_gqd_min_is_below_the_joint_grid(n, rank, seed):
+    # the tied grid and the random starts reach at least the minimum of a
+    # 9^(2N) grid over every qubit's angles
+    rho = _random_state(n, rank, seed)
+    got = gqd_min(rho, budget=FULL_BUDGET, seed=0).value
+    assert got <= _joint_grid_minimum(rho) + 1e-12
 
 
 PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))

@@ -17,7 +17,8 @@ alike.  A round times:
   a 4 x 4 heatmap grid (theta1, theta2 in [0, pi], phi = 0), and
   ``correlations.discord_asym`` on the same states, D(M1|M2) and D(M2|M1);
 - ``correlations.gqd_min`` at ``experiments.REDUCED_BUDGET`` (the budget of
-  the outer angle searches) on protocol outputs at N = 3 and N = 5;
+  the outer angle searches) on protocol outputs at N = 3 and N = 5, and at
+  the full budget on protocol outputs at N = 2 and N = 5;
 - ``experiments.best_fidelity_state`` once on each of three fixed targets
   that finish at every revision;
 - ``experiments.symmetric_theta_max`` once at N = 5, reporting at the fast
@@ -49,14 +50,15 @@ from time import perf_counter
 
 # Rounds per run, (name, calls per round) of the circuit workloads, the fidelity
 # targets (p, x), the heatmap grid of the inner-search cases, the calls per
-# round at the reduced budget, the size of the timed symmetric angle search and
-# the resolution of the timed heatmap study;
+# round of the inner searches on protocol outputs, the size of the timed
+# symmetric angle search and the resolution of the timed heatmap study;
 # fixed so that every checkout is timed alike.
 ROUNDS = 5
 CIRCUITS = (("run_circuit_n2_dephasing", 200), ("run_circuit_n3", 40), ("run_circuit_n5", 6))
 FIDELITY_TARGETS = ((0.25, 0.2), (0.5, 0.0), (1.0, 0.2))
 HEATMAP_RESOLUTION = 4
-INNER_REDUCED = (("gqd_min_n3_reduced", 10), ("gqd_min_n5_reduced", 5))
+INNER_PROTOCOL = (("gqd_min_n3_reduced", 10), ("gqd_min_n5_reduced", 5),
+                  ("gqd_min_n2_full", 2), ("gqd_min_n5_full", 1))
 THETA_MAX_N = 5
 STUDY_RESOLUTION = 11
 
@@ -73,14 +75,21 @@ def _inner_cases(experiments, protocol, correlations) -> dict:
             for r in heat for a, b in (("M1", "M2"), ("M2", "M1"))
         ],
     }
-    states_reduced = {
-        "gqd_min_n3_reduced": protocol.standard_config([0.9, 1.1, 0.7], [0.3, 0.2, 1.4]),
-        "gqd_min_n5_reduced": protocol.standard_config([0.9] * 5),
+    n2 = protocol.standard_config([0.9, 1.1], [0.3, 0.2])
+    n3 = protocol.standard_config([0.9, 1.1, 0.7], [0.3, 0.2, 1.4])
+    n5 = protocol.standard_config([0.9] * 5)
+    reduced, full = experiments.REDUCED_BUDGET, correlations.FULL_BUDGET
+    protocol_cases = {
+        "gqd_min_n3_reduced": (n3, reduced),
+        "gqd_min_n5_reduced": (n5, reduced),
+        "gqd_min_n2_full": (n2, full),
+        "gqd_min_n5_full": (n5, full),
     }
-    for name, calls in INNER_REDUCED:
-        rho = protocol.run_circuit(states_reduced[name]).final_state
+    for name, calls in INNER_PROTOCOL:
+        config, budget = protocol_cases[name]
+        rho = protocol.run_circuit(config).final_state
         cases[name] = [
-            lambda rho=rho: correlations.gqd_min(rho, budget=experiments.REDUCED_BUDGET)
+            lambda rho=rho, budget=budget: correlations.gqd_min(rho, budget=budget)
         ] * calls
     return cases
 
