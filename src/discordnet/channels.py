@@ -33,26 +33,23 @@ class ZeroProbabilityError(ChannelError):
     """Requested post-selection outcome has (numerically) zero probability."""
 
 
-def basis_vectors(theta, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal measurement pair (|psi>, |psi_perp>) for Bloch angles.
+def basis_vectors(theta, phi) -> np.ndarray:
+    """Orthonormal measurement pair (|psi>, |psi_perp>) for Bloch angles, as
+    the rows of a (2, 2) array, so ``v, w = basis_vectors(theta, phi)``.
 
-    For arrays of angles, each of the two gains their shape in front: entry
-    [..., :] is the vector of those angles.  The half-angle cosines and
-    sines come from ``math`` one angle at a time, so every entry is
-    bit-equal to the one-point call.
+    For arrays of angles, the pairs gain their shape in front: entry
+    [..., 0, :] is |psi> and [..., 1, :] is |psi_perp> of those angles.
+    Every operation is elementwise, so every entry is bit-equal to the
+    one-point call.  This is the package's one basis-vector kernel: the
+    basis searches of ``correlations`` build their candidate bases with it.
     """
-    if np.ndim(theta):
-        theta = np.asarray(theta)
-        c = np.array([math.cos(t / 2) for t in theta.ravel()]).reshape(theta.shape)
-        s = np.array([math.sin(t / 2) for t in theta.ravel()]).reshape(theta.shape)
-    else:
-        c, s = math.cos(theta / 2), math.sin(theta / 2)
+    half = np.asarray(theta, dtype=float) / 2
+    c, s = np.cos(half), np.sin(half)
     e = np.exp(1j * phi)
-    v = np.empty(np.shape(e) + (2,), dtype=np.complex128)
-    w = np.empty_like(v)
-    v[..., 0], v[..., 1] = c, e * s
-    w[..., 0], w[..., 1] = s, -e * c
-    return v, w
+    out = np.empty(np.shape(e) + (2, 2), dtype=np.complex128)
+    out[..., 0, 0], out[..., 0, 1] = c, e * s
+    out[..., 1, 0], out[..., 1, 1] = s, -e * c
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ class MeasurementBasis:
 
     angles: Mapping[str, tuple]
     size: int | None = None
-    _vectors: tuple[np.ndarray, np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _vectors: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(str(lab) for lab in self.angles)
@@ -95,8 +92,8 @@ class MeasurementBasis:
 
     def vectors(self, label: str) -> tuple[np.ndarray, np.ndarray]:
         """(|psi>, |psi_perp>) of a label: (2,) arrays, or (k, 2) for a block."""
-        j = self.labels.index(label)
-        return self._vectors[0][j], self._vectors[1][j]
+        pair = self._vectors[self.labels.index(label)]
+        return pair[..., 0, :], pair[..., 1, :]
 
 
 def _check_unitary(u: np.ndarray) -> None:

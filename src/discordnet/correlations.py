@@ -1,10 +1,13 @@
-"""Correlation quantifiers: von Neumann entropy, mutual information,
-asymmetric quantum discord, relative entropy and global quantum discord
-(GQD), each with its internal minimization over local projective bases.
+"""Correlation quantifiers: von Neumann entropy, relative entropy,
+asymmetric quantum discord and global quantum discord (GQD), each with its
+internal minimization over local projective bases.
 
-The basis searches are a grid scan followed by ``search.multistart``:
-``gqd_min`` scans one basis shared by all parties, ``conditional_entropy_min``
-the one measured qubit.  Objective evaluation is vectorized over batches of
+Both minimizations run through one basis search, ``_basis_search``: a grid
+scan, seeded random starts, then ``search.multistart``, over the angles of n
+qubits' bases.  ``gqd_min`` scans one basis shared by all parties,
+``conditional_entropy_min`` is the n = 1 search over the measured qubit.  The
+candidate bases come from ``channels.basis_vectors``, the package's one
+basis-vector kernel.  Objective evaluation is vectorized over (B, n) blocks of
 candidate bases, which is what makes the nested protocol optimizations
 elsewhere in the package tractable: a grid is evaluated in blocks of at most
 ``_BLOCK_ENTRIES`` product-basis entries, and the Nelder-Mead starts of one
@@ -21,8 +24,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .channels import basis_vectors
 from .linalg import EIGENVALUE_FLOOR
-from .search import multistart
+from .search import SearchResult, multistart
 from .states import DensityMatrix, StateError, fold_bloch, partial_trace
 
 # Correlation values in (-NEGATIVE_CLAMP, 0) are reported as exactly 0.
@@ -43,17 +47,6 @@ def _shannon(p: np.ndarray, axis: int = -1) -> np.ndarray:
 def entropy(rho: DensityMatrix) -> float:
     """von Neumann entropy S(rho) in bits."""
     return float(_shannon(np.linalg.eigvalsh(rho.matrix)))
-
-
-def mutual_information(rho: DensityMatrix, part_a: Sequence[str]) -> float:
-    """S(A) + S(B) - S(AB) for the bipartition part_a : rest."""
-    part_a = tuple(part_a)
-    part_b = tuple(lab for lab in rho.labels if lab not in part_a)
-    if not part_a or not part_b or set(part_a) - set(rho.labels):
-        raise StateError(f"invalid bipartition {part_a} of {rho.labels}")
-    s_a = entropy(partial_trace(rho, part_a))
-    s_b = entropy(partial_trace(rho, part_b))
-    return s_a + s_b - entropy(rho)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -77,20 +70,6 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 # --------------------------------------------------------------------------
 
 
-def _basis_columns(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Orthonormal pairs for angle arrays; output shape (..., 2 outcomes, 2)."""
-    thetas = np.asarray(thetas, dtype=float)
-    phis = np.asarray(phis, dtype=float)
-    c, s = np.cos(thetas / 2), np.sin(thetas / 2)
-    e = np.exp(1j * phis)
-    out = np.empty(thetas.shape + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = c
-    out[..., 0, 1] = e * s
-    out[..., 1, 0] = s
-    out[..., 1, 1] = -e * c
-    return out
-
-
 def _product_basis(cols: np.ndarray) -> np.ndarray:
     """Expand per-qubit bases (B, N, 2, 2) into product vectors (B, 2^N, 2^N)."""
     b, n = cols.shape[:2]
@@ -104,7 +83,7 @@ def _product_basis(cols: np.ndarray) -> np.ndarray:
 def pinch(rho: DensityMatrix, basis_angles: Mapping[str, tuple[float, float]]) -> DensityMatrix:
     """Dephase rho in the product basis given by per-label Bloch angles."""
     thetas, phis = _angles_for(rho, basis_angles)
-    cols = _basis_columns(thetas[None, :], phis[None, :])
+    cols = basis_vectors(thetas[None, :], phis[None, :])
     v = _product_basis(cols)[0]  # rows = product basis vectors
     w = v.T  # columns = basis vectors
     probs = np.real(np.diag(w.conj().T @ rho.matrix @ w))
@@ -140,7 +119,7 @@ class _GqdObjective:
         thetas = np.atleast_2d(thetas)
         phis = np.atleast_2d(phis)
         self.evaluations += thetas.shape[0]
-        cols = _basis_columns(thetas, phis)
+        cols = basis_vectors(thetas, phis)  # (B, N, 2 outcomes, 2)
         psi = cols[:, :, 0, :]  # (B, N, 2)
         p0 = np.real(np.einsum("bjx,jxy,bjy->bj", psi.conj(), self.margs, psi))
         p0 = np.clip(p0, 0.0, 1.0)
@@ -198,7 +177,7 @@ def _angle_grid(g: int) -> np.ndarray:
     return np.stack([thetas.ravel(), phis.ravel()], axis=1)
 
 
-def _grid_minimum(obj: _GqdObjective, points: np.ndarray, n: int, top: int) -> np.ndarray:
+def _grid_minimum(obj, points: np.ndarray, n: int, top: int) -> np.ndarray:
     """The ``top`` lowest rows of a point matrix (rows = [thetas..., phis...]),
     scored in blocks of at most ``_BLOCK_ENTRIES`` product-basis entries and
     ranked in one sort, so the blocks do not change which of tied rows win."""
@@ -208,6 +187,26 @@ def _grid_minimum(obj: _GqdObjective, points: np.ndarray, n: int, top: int) -> n
         for start in range(0, points.shape[0], size)
     ])
     return points[np.argsort(vals)[:top]]
+
+
+def _basis_search(
+    obj, n: int, grid: np.ndarray, top: int, b: Budget, seed: int
+) -> tuple[SearchResult, tuple[np.ndarray, np.ndarray]]:
+    """Minimize ``obj.batch`` over the bases of n qubits.
+
+    The refinement starts are the ``top`` lowest rows of ``grid`` (rows =
+    [thetas..., phis...]) and ``b.random_starts`` seeded random rows (n
+    thetas, then n phis); ``search.multistart`` refines them all.  Returns
+    the result and its argmin folded into the Bloch ranges.  The unstable
+    default sort of ``_grid_minimum`` picks among tied grid rows, and so
+    fixes the starts.
+    """
+    rng = np.random.default_rng(seed)
+    starts = list(_grid_minimum(obj, grid, n, top))
+    for _ in range(b.random_starts):
+        starts.append(np.concatenate([rng.uniform(0, math.pi, n), rng.uniform(0, 2 * math.pi, n)]))
+    res = multistart(lambda x: obj.batch(x[:, :n], x[:, n:]), starts, b.xatol, b.fatol, 400 * 2 * n)
+    return res, fold_bloch(res.argopt[:n], res.argopt[n:])
 
 
 def gqd(
@@ -240,35 +239,22 @@ def gqd_min(
 ) -> DiscordResult:
     """Global quantum discord: minimize the pinching objective over local bases.
 
-    Strategy: a symmetric tied-basis grid, seeded random starts, then
-    ``search.multistart`` from the best grid points and the random starts in
-    the full 2N-dimensional angle space.
+    Strategy: ``_basis_search`` from the best points of a symmetric
+    tied-basis grid and the seeded random starts, refined in the full
+    2N-dimensional angle space.
     """
     b = _resolve_budget(budget)
     n = rho.n_qubits
     if n < 2:
         raise StateError("GQD needs at least two subsystems")
-    obj = _GqdObjective(rho)
-    rng = np.random.default_rng(seed)
-
-    starts: list[np.ndarray] = []
     # Symmetric grid: same basis on every party.  Cheap, and protocol-family
     # optima are symmetric, so this is an excellent warm start.
     sym = _angle_grid(b.sym_grid)
     sym_full = np.concatenate(
         [np.repeat(sym[:, :1], n, axis=1), np.repeat(sym[:, 1:], n, axis=1)], axis=1
     )
-    starts.extend(_grid_minimum(obj, sym_full, n, max(2, b.nm_starts - 1)))
-
-    for _ in range(b.random_starts):
-        starts.append(
-            np.concatenate([rng.uniform(0, math.pi, n), rng.uniform(0, 2 * math.pi, n)])
-        )
-
-    res = multistart(
-        lambda x: obj.batch(x[:, :n], x[:, n:]), starts, b.xatol, b.fatol, 400 * 2 * n
-    )
-    thetas, phis = fold_bloch(res.argopt[:n], res.argopt[n:])
+    obj = _GqdObjective(rho)
+    res, (thetas, phis) = _basis_search(obj, n, sym_full, max(2, b.nm_starts - 1), b, seed)
     basis = {lab: (float(t), float(p)) for lab, t, p in zip(rho.labels, thetas, phis)}
     return DiscordResult(
         value=max(res.value, 0.0),
@@ -299,10 +285,10 @@ class _DiscordObjective:
         self.evaluations = 0
 
     def batch(self, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_1d(thetas)
-        self.evaluations += thetas.shape[0]
-        cols = _basis_columns(thetas, np.atleast_1d(phis))  # (B, 2, 2)
-        total = np.zeros(thetas.shape[0])
+        """Objective for angle arrays of shape (B, 1)."""
+        cols = basis_vectors(thetas, phis)[:, 0]  # (B, 2 outcomes, 2)
+        self.evaluations += cols.shape[0]
+        total = np.zeros(cols.shape[0])
         for outcome in (0, 1):
             v = cols[:, outcome, :]
             m = np.einsum("bx,axcy,by->bac", v.conj(), self.r, v)
@@ -321,15 +307,7 @@ def conditional_entropy_min(
     """min over rank-1 projective bases on ``measured`` of sum_j p_j S(rho_j)."""
     b = _resolve_budget(budget)
     obj = _DiscordObjective(rho, measured)
-    rng = np.random.default_rng(seed)
-    grid = _angle_grid(b.discord_grid)
-    vals = obj.batch(grid[:, 0], grid[:, 1])
-    order = np.argsort(vals)[: b.nm_starts]
-    starts = [grid[i] for i in order]
-    for _ in range(b.random_starts):
-        starts.append(np.array([rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)]))
-    res = multistart(lambda x: obj.batch(x[:, 0], x[:, 1]), starts, b.xatol, b.fatol, 800)
-    thetas, phis = fold_bloch(res.argopt[:1], res.argopt[1:2])
+    res, (thetas, phis) = _basis_search(obj, 1, _angle_grid(b.discord_grid), b.nm_starts, b, seed)
     return res.value, (float(thetas[0]), float(phis[0])), obj.evaluations, res.converged
 
 

@@ -370,15 +370,6 @@ def anticorrelated_max(budget: Budget = FULL_BUDGET, seed: int = 0) -> float:
     return gqd_min(rho, budget=budget, seed=seed).value
 
 
-def _refine_max(obj: Callable[[np.ndarray], float], x0: Sequence[float]) -> np.ndarray:
-    """Argmax of a short (60-evaluation) Nelder-Mead maximization of obj from x0."""
-    res = search.multistart(
-        lambda pts: np.array([-obj(x) for x in pts], dtype=float),
-        [np.array(x0, dtype=float)], xatol=1e-4, fatol=1e-8, maxfev=60,
-    )
-    return res.argopt
-
-
 def _two_pair_outputs(
     memories: DensityMatrix | None = None, memory_noise=None
 ) -> Callable[[Sequence[float]], DensityMatrix | DensityStack]:
@@ -417,11 +408,13 @@ def memory_robustness(
         return gqd_min(rho, budget=FAST_BUDGET, seed=seed).value
 
     def reoptimized(memories: DensityMatrix) -> float:
+        # a short (60-evaluation) Nelder-Mead maximization from opt_angles
         output = _two_pair_outputs(memories=memories)
-        x = _refine_max(
-            lambda x: gqd_min(output(x), budget=REDUCED_BUDGET, seed=seed).value,
-            opt_angles,
-        )
+        x = search.multistart(
+            lambda pts: np.array([-gqd_min(output(x), budget=REDUCED_BUDGET, seed=seed).value
+                                  for x in pts]),
+            [np.array(opt_angles)], xatol=1e-4, fatol=1e-8, maxfev=60,
+        ).argopt
         return gqd_min(output(x), budget=FAST_BUDGET, seed=seed).value
 
     tm_axis = np.linspace(0.0, math.pi, resolution)
@@ -683,11 +676,12 @@ def noisy_max_estimate(p: float, seed: int = 0) -> float:
     The larger of two one-parameter families: the noiseless-optimal basis at
     fixed angles, and the symmetric family with azimuth 3pi/4 whose polar
     angle shifts with the noise strength.  Only a scalar optimization is
-    needed: a 13-point scan and a refinement at ``REDUCED_BUDGET``, then both
-    families at ``FULL_BUDGET``.  A four-angle search found nothing above it
-    at p = 0.18, 0.24 and 1, but it is not the four-angle maximum at every p:
-    at p = 0.5 it gives 0.2811762, and the tied point theta = 2.39929,
-    phi = pi/2, off both families, gives 0.2826191.
+    needed: ``search.optimize``'s 13-point scan and one refinement at
+    ``REDUCED_BUDGET``, then both families at ``FULL_BUDGET``.  A four-angle
+    search found nothing above it at p = 0.18, 0.24 and 1, but it is not the
+    four-angle maximum at every p: at p = 0.5 it gives 0.2811762, and the
+    tied point theta = 2.39929, phi = pi/2, off both families, gives
+    0.2826191.
     """
     output = _two_pair_outputs(memory_noise=_dephasing(p))
 
@@ -695,10 +689,17 @@ def noisy_max_estimate(p: float, seed: int = 0) -> float:
         rho = output([theta, theta, NOISY_OPT_PHI, NOISY_OPT_PHI])
         return gqd_min(rho, budget=budget, seed=seed).value
 
-    thetas = np.linspace(0.0, math.pi, 13)
-    coarse = [family(float(t), REDUCED_BUDGET) for t in thetas]
-    t0 = float(thetas[int(np.argmax(coarse))])
-    theta = _refine_max(lambda v: family(float(v[0]), REDUCED_BUDGET), [t0])[0]
+    spec = search.SearchSpec(
+        objective=lambda v: family(float(v[0]), REDUCED_BUDGET),
+        dimension=1,
+        bounds=((0.0, math.pi),),
+        grid_resolution=13,
+        multistarts=1,
+        random_starts=0,
+        tolerance=1e-4,
+        maximize=True,
+    )
+    theta = search.optimize(spec).argopt[0]
     branch = family(float(np.clip(theta, 0.0, math.pi)), FULL_BUDGET)
     return max(branch, rho0_curve_point(p, seed=seed))
 

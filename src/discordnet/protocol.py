@@ -5,11 +5,11 @@ memory-channel classification analyses.
 
 A circuit runs in two steps.  ``_prepare`` builds the angle-independent part:
 memory noise, the carrier (x) memory tensor and the controlled gates.
-``_measure`` projects the interacting carriers at a block of k rows of
-measurement angles in one pass, one row per point on a leading axis, and
-traces out what is not retained.  ``run_circuit`` does both for one config,
-as the block of one row; ``angle_sweep`` prepares a config once and measures
-it at one point or a whole block of carrier angles, for the outer angle
+``_measure`` projects the interacting carriers at one point of measurement
+angles, or at a block of k points in one pass, one row per point on a
+leading axis, and traces out what is not retained.  ``run_circuit`` does
+both for one config; ``angle_sweep`` prepares a config once and measures it
+at one point or a whole block of carrier angles, for the outer angle
 searches.  Both go through the same two steps, so there is one simulation
 path.
 
@@ -103,15 +103,15 @@ class ProtocolOutcome:
     outcome_bits: tuple[int, ...]
 
 
-# angles[i] = (thetas, phis) of carrier i, one entry per row of a block
-BlockAngles = Mapping[int, tuple[np.ndarray, np.ndarray]]
+# angles[i] = (theta, phi) of carrier i; for a block, (thetas, phis) arrays
+# with one entry per row
+CarrierAngles = Mapping[int, tuple]
 
 
 def run_circuit(cfg: ProtocolConfig) -> ProtocolOutcome | list[ProtocolOutcome]:
     """Execute the protocol circuit; returns all branches when outcome='all'."""
     cfg = cfg.resolved()
-    angles = {i: ([theta], [phi]) for i, (theta, phi) in cfg.carrier_angles.items()}
-    return _first_row(_measure(cfg, *_prepare(cfg), angles, 1))
+    return _measure(cfg, *_prepare(cfg), cfg.carrier_angles)
 
 
 def angle_sweep(cfg: ProtocolConfig) -> Callable[..., ProtocolOutcome | list]:
@@ -138,10 +138,8 @@ def angle_sweep(cfg: ProtocolConfig) -> Callable[..., ProtocolOutcome | list]:
             raise StateError(f"carrier angles of shape {thetas.shape} for {cfg.n} carrier-memory pairs")
         if phis.shape != thetas.shape:
             raise StateError(f"phis of shape {phis.shape} for thetas of shape {thetas.shape}")
-        rows, row_phis = np.atleast_2d(thetas, phis)
-        angles = {i: (rows[:, i - 1], row_phis[:, i - 1]) for i in cfg.interactions}
-        out = _measure(cfg, joint, retained, angles, len(rows))
-        return out if thetas.ndim == 2 else _first_row(out)
+        angles = {i: (thetas[..., i - 1], phis[..., i - 1]) for i in cfg.interactions}
+        return _measure(cfg, joint, retained, angles, len(thetas) if thetas.ndim == 2 else None)
 
     return run
 
@@ -160,20 +158,26 @@ def _prepare(cfg: ProtocolConfig) -> tuple[DensityMatrix, list[str]]:
 
 
 def _measure(
-    cfg: ProtocolConfig, joint: DensityMatrix, retained: list[str], angles: BlockAngles, rows: int
-) -> ProtocolOutcome | list[list[ProtocolOutcome]]:
-    """Measure the interacting carriers of a prepared joint state at each of
-    the ``rows`` rows of ``angles`` and keep the retained labels: one
-    outcome of k rows, or for outcome='all' one branch list per row."""
+    cfg: ProtocolConfig,
+    joint: DensityMatrix,
+    retained: list[str],
+    angles: CarrierAngles,
+    rows: int | None = None,
+) -> ProtocolOutcome | list[ProtocolOutcome] | list[list[ProtocolOutcome]]:
+    """Measure the interacting carriers of a prepared joint state at one
+    point, or at each of the ``rows`` rows of a block, and keep the retained
+    labels: one outcome (of k rows for a block), or for outcome='all' its
+    branch list (one per row for a block)."""
     basis = MeasurementBasis({f"C{i}": angles[i] for i in cfg.interactions}, size=rows)
     keep = tuple(retained)
 
     if cfg.outcome == "all":
-        return [
-            [ProtocolOutcome(partial_trace(state, retained), prob, keep, bits)
-             for bits, state, prob in branches if state is not None]
-            for branches in measure_all_outcomes(joint, basis)
-        ]
+        def outcomes(branches: list) -> list[ProtocolOutcome]:
+            return [ProtocolOutcome(partial_trace(state, retained), prob, keep, bits)
+                    for bits, state, prob in branches if state is not None]
+
+        branches = measure_all_outcomes(joint, basis)
+        return outcomes(branches) if rows is None else [outcomes(b) for b in branches]
 
     bits = (
         tuple(0 for _ in cfg.interactions)
@@ -182,13 +186,6 @@ def _measure(
     )
     block, probs = measure_project(joint, basis, bits)
     return ProtocolOutcome(partial_trace(block, retained), probs, keep, bits)
-
-
-def _first_row(out: ProtocolOutcome | list[list[ProtocolOutcome]]) -> ProtocolOutcome | list[ProtocolOutcome]:
-    """The one-point result from the block result of a one-row block."""
-    if isinstance(out, list):
-        return out[0]
-    return replace(out, final_state=out.final_state[0], probability=float(out.probability[0]))
 
 
 def _retained_labels(cfg: ProtocolConfig, joint: DensityMatrix) -> list[str]:

@@ -164,15 +164,6 @@ def bloch_state(theta: float, phi: float, label: str = "Q") -> PureState:
     )
 
 
-def bloch_orthogonal(theta: float, phi: float) -> PureState:
-    """The state orthogonal to ``bloch_state(theta, phi)``, on qubit "Q"."""
-    _check_bloch_angles(theta, phi)
-    return PureState(
-        ("Q",),
-        np.array([math.sin(theta / 2), -np.exp(1j * phi) * math.cos(theta / 2)]),
-    )
-
-
 def _check_bloch_angles(theta, phi) -> None:
     """Raise unless theta lies in [0, pi] and phi in [0, 2pi); for arrays of
     angles, every one of them, naming the first that does not."""

@@ -174,7 +174,7 @@ def _gqd_problem(n):
 def _discord_problem():
     obj = _DiscordObjective(protocol.final_state_closed_form(0.9, 0.6, 0.3, 1.1), "M2")
     starts = [np.array([0.4, 0.0]), np.array([2.5, 4.0]), np.array([1.2, 2.2])]
-    return lambda x: obj.batch(x[:, 0], x[:, 1]), starts
+    return lambda x: obj.batch(x[:, :1], x[:, 1:]), starts
 
 
 PROBLEMS = {
@@ -262,9 +262,9 @@ def test_objective_batch_rows_equal_one_point_calls():
             assert np.array_equal(rows, single[:size]), (n, size)
     obj = _DiscordObjective(_random_state(3, 9), "Q1")
     pts = rng.uniform(0.0, 2 * math.pi, size=(24, 2))
-    single = [obj.batch(p[:1], p[1:])[0] for p in pts]
+    single = [obj.batch(p[None, :1], p[None, 1:])[0] for p in pts]
     for size in range(1, len(pts) + 1):
-        assert np.array_equal(obj.batch(pts[:size, 0], pts[:size, 1]), single[:size]), size
+        assert np.array_equal(obj.batch(pts[:size, :1], pts[:size, 1:]), single[:size]), size
 
 
 def test_nonfinite_objective_rejected():

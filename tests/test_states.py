@@ -9,7 +9,6 @@ from discordnet.states import (
     DensityStack,
     PureState,
     StateError,
-    bloch_orthogonal,
     bloch_state,
     fidelity,
     maximally_mixed,
@@ -96,8 +95,9 @@ def test_pure_state_density_consistency():
 def test_bloch_state_orthogonality():
     for theta, phi in [(0.3, 1.1), (2.0, 4.4), (math.pi / 2, 0.0)]:
         v = bloch_state(theta, phi)
-        w = bloch_orthogonal(theta, phi)
-        assert abs(np.vdot(v.amplitudes, w.amplitudes)) < 1e-12
+        psi, perp = _bloch_pair(theta, phi)
+        assert np.allclose(v.amplitudes, psi, atol=1e-15)
+        assert abs(np.vdot(v.amplitudes, perp)) < 1e-12
 
 
 def test_tensor_and_partial_trace_roundtrip(rng):
