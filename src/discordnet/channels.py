@@ -2,7 +2,8 @@
 
 Gate and measurement embedding is done by index arithmetic on the reshaped
 state tensor rather than by building full-dimension operators, keeping the
-cost at O(4^n) per application.
+cost at O(4^n) per application.  A local unitary is a one-operator
+``KrausChannel``; each outcome pattern is one ``measure_project`` call.
 """
 
 from __future__ import annotations
@@ -167,16 +168,6 @@ def _conjugate_by(rho: DensityMatrix, u: np.ndarray, labels: Sequence[str]) -> n
     return t * factor.transpose(order).reshape(shape)
 
 
-def apply_unitary(rho: DensityMatrix, u: np.ndarray, labels: Sequence[str]) -> DensityMatrix:
-    """U rho U^dag with u embedded at the named labels (in the given order)."""
-    u = linalg.as_matrix(u)
-    k = len(labels)
-    if u.shape != (2**k, 2**k):
-        raise ChannelError(f"unitary shape {u.shape} does not fit {k} qubits")
-    _check_unitary(u)
-    return DensityMatrix(rho.labels, _conjugate_by(rho, u, labels).reshape(rho.matrix.shape))
-
-
 def apply_gate(rho: DensityMatrix, gate: GateSpec) -> DensityMatrix:
     if gate.control == gate.target:
         raise ChannelError("controlled gate needs distinct control and target labels")
@@ -244,16 +235,6 @@ def apply_kraus(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
     return DensityMatrix(rho.labels, out.reshape(rho.matrix.shape))
 
 
-def _unmeasured(rho: DensityMatrix, basis: MeasurementBasis) -> list[str]:
-    missing = [lab for lab in basis.labels if lab not in rho.labels]
-    if missing:
-        raise ChannelError(f"labels not in state: {missing}")
-    remaining = [lab for lab in rho.labels if lab not in basis.labels]
-    if not remaining:
-        raise ChannelError("measuring every label would leave an empty state")
-    return remaining
-
-
 def _project(rho: DensityMatrix, labels: Sequence[str], vecs: Sequence[np.ndarray], rows: int) -> np.ndarray:
     """<v_r| rho |v_r> for every row r, as an unnormalized (rows, d, d) stack
     over the unmeasured labels; vecs[j] is a (rows, 2) array whose row r is
@@ -289,10 +270,6 @@ def _project(rho: DensityMatrix, labels: Sequence[str], vecs: Sequence[np.ndarra
     return t.reshape(rows, d, d)
 
 
-def _probabilities(reduced: np.ndarray) -> np.ndarray:
-    return np.real(np.trace(reduced, axis1=1, axis2=2))
-
-
 def measure_project(
     rho: DensityMatrix,
     basis: MeasurementBasis,
@@ -307,10 +284,15 @@ def measure_project(
     """
     if len(outcomes) != len(basis.labels):
         raise ChannelError("one outcome bit required per measured label")
-    remaining = _unmeasured(rho, basis)
+    missing = [lab for lab in basis.labels if lab not in rho.labels]
+    if missing:
+        raise ChannelError(f"labels not in state: {missing}")
+    remaining = tuple(lab for lab in rho.labels if lab not in basis.labels)
+    if not remaining:
+        raise ChannelError("measuring every label would leave an empty state")
     vecs = [np.reshape(basis.vectors(lab)[int(bit)], (-1, 2)) for lab, bit in zip(basis.labels, outcomes)]
     reduced = _project(rho, basis.labels, vecs, basis.size or 1)
-    probs = _probabilities(reduced)
+    probs = np.real(np.trace(reduced, axis1=1, axis2=2))
     low = probs < ZERO_PROBABILITY_TOL
     if low.any():
         raise ZeroProbabilityError(
@@ -318,39 +300,6 @@ def measure_project(
         )
     normalized = reduced / probs[:, None, None]
     if basis.size is None:
-        return DensityMatrix(tuple(remaining), normalized[0]), float(probs[0])
-    return DensityStack(tuple(remaining), normalized), probs
+        return DensityMatrix(remaining, normalized[0]), float(probs[0])
+    return DensityStack(remaining, normalized), probs
 
-
-Branch = tuple[tuple[int, ...], DensityMatrix | None, float]
-
-
-def measure_all_outcomes(rho: DensityMatrix, basis: MeasurementBasis) -> list[Branch] | list[list[Branch]]:
-    """All 2^k outcome branches as (bits, state-or-None, probability), in
-    binary order of the bits; a branch of (numerically) zero probability
-    has state None and probability 0.
-
-    Every branch of every point is one row of a single projection.  For a
-    block basis, the result has one such list per point.
-    """
-    remaining = _unmeasured(rho, basis)
-    k = len(basis.labels)
-    patterns = [tuple((idx >> (k - 1 - j)) & 1 for j in range(k)) for idx in range(2**k)]
-    bits = np.array(patterns)
-    vecs = []
-    for j, lab in enumerate(basis.labels):
-        # (points, bit, 2) -> one row per (point, pattern)
-        pair = np.stack([np.reshape(v, (-1, 2)) for v in basis.vectors(lab)], axis=1)
-        vecs.append(pair[:, bits[:, j]].reshape(-1, 2))
-    reduced = _project(rho, basis.labels, vecs, (basis.size or 1) * len(patterns))
-    probs = _probabilities(reduced)
-    branches: list[Branch] = []
-    for r, prob in enumerate(probs):
-        pattern = patterns[r % len(patterns)]
-        if prob < ZERO_PROBABILITY_TOL:
-            branches.append((pattern, None, 0.0))
-        else:
-            branches.append((pattern, DensityMatrix(tuple(remaining), reduced[r] / prob), float(prob)))
-    if basis.size is None:
-        return branches
-    return [branches[i : i + len(patterns)] for i in range(0, len(branches), len(patterns))]

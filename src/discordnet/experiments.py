@@ -34,7 +34,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import correlations, protocol, search, states
+from . import protocol, search, states
 from .channels import correlated_dephasing
 from .correlations import Budget, FAST_BUDGET, FULL_BUDGET, discord_asym, entropy, gqd, gqd_min
 from .states import DensityMatrix, DensityStack, fidelity, fold_bloch, partial_trace

@@ -57,12 +57,16 @@ def _as_square(h) -> np.ndarray:
 
 
 def hermiticity_defect(h) -> float:
-    """max |h - h^dag| over all entries (of every matrix, for a stack).
+    """max |h - h^dag| over all entries (of every matrix, for a stack)."""
+    return _defect(_as_square(h))
+
+
+def _defect(h: np.ndarray) -> float:
+    """``hermiticity_defect`` of an already coerced square matrix or stack.
 
     |h_ij - conj(h_ji)| is symmetric under i <-> j, so only the tiles on and
     above the diagonal are compared; the maximum is the same.
     """
-    h = _as_square(h)
     d = h.shape[-1]
     b = HERMITICITY_TILE
     defect = 0.0
@@ -75,7 +79,7 @@ def hermiticity_defect(h) -> float:
 
 def require_hermitian(h) -> np.ndarray:
     h = _as_square(h)
-    defect = hermiticity_defect(h)
+    defect = _defect(h)
     if defect > HERMITICITY_TOL:
         raise LinalgError(f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.0e})")
     return h

@@ -7,7 +7,9 @@ A circuit runs in two steps.  ``_prepare`` builds the angle-independent part:
 memory noise, the carrier (x) memory tensor and the controlled gates.
 ``_measure`` projects the interacting carriers at one point of measurement
 angles, or at a block of k points in one pass, one row per point on a
-leading axis, and traces out what is not retained.  ``run_circuit`` does
+leading axis, and traces out what is not retained.  ``outcome='all'`` is
+the same projection once per bit pattern, keeping the patterns of nonzero
+probability; a block takes it one row at a time.  ``run_circuit`` does
 both for one config; ``angle_sweep`` prepares a config once and measures it
 at one point or a whole block of carrier angles, for the outer angle
 searches.  Both go through the same two steps, so there is one simulation
@@ -22,6 +24,7 @@ M_i is traced out.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -33,9 +36,9 @@ from .channels import (
     GateSpec,
     KrausChannel,
     MeasurementBasis,
+    ZeroProbabilityError,
     apply_gate,
     apply_kraus,
-    measure_all_outcomes,
     measure_project,
 )
 from .states import DensityMatrix, DensityStack, StateError, partial_trace, tensor, trace_distance
@@ -109,7 +112,8 @@ CarrierAngles = Mapping[int, tuple]
 
 
 def run_circuit(cfg: ProtocolConfig) -> ProtocolOutcome | list[ProtocolOutcome]:
-    """Execute the protocol circuit; returns all branches when outcome='all'."""
+    """Execute the protocol circuit.  With outcome='all', returns the branch
+    of every outcome pattern of nonzero probability, in binary order."""
     cfg = cfg.resolved()
     return _measure(cfg, *_prepare(cfg), cfg.carrier_angles)
 
@@ -121,10 +125,10 @@ def angle_sweep(cfg: ProtocolConfig) -> Callable[..., ProtocolOutcome | list]:
     ``run`` takes per-carrier angles as ``standard_config`` does (phis default
     to 0) and returns what ``run_circuit`` returns for ``cfg`` at those
     angles, bit for bit.  Given (k, n) arrays instead, it measures all k
-    points in one pass: a fixed outcome gives one ``ProtocolOutcome`` of k
-    rows, and ``outcome='all'`` one branch list per point, since a branch
-    can vanish at some points only.  Row i equals the one-point call at
-    point i, bit for bit.
+    points: a fixed outcome gives one ``ProtocolOutcome`` of k rows, in one
+    pass, and ``outcome='all'`` one branch list per point, measured point by
+    point, since a branch can vanish at some points only.  Row i equals the
+    one-point call at point i, bit for bit.
     """
     cfg = cfg.resolved()
     joint, retained = _prepare(cfg)
@@ -166,26 +170,32 @@ def _measure(
 ) -> ProtocolOutcome | list[ProtocolOutcome] | list[list[ProtocolOutcome]]:
     """Measure the interacting carriers of a prepared joint state at one
     point, or at each of the ``rows`` rows of a block, and keep the retained
-    labels: one outcome (of k rows for a block), or for outcome='all' its
-    branch list (one per row for a block)."""
-    basis = MeasurementBasis({f"C{i}": angles[i] for i in cfg.interactions}, size=rows)
+    labels: one outcome (of k rows for a block), or for outcome='all' the
+    outcome of every bit pattern of nonzero probability, in binary order (a
+    list per row for a block, since a branch can vanish at some rows only)."""
     keep = tuple(retained)
 
-    if cfg.outcome == "all":
-        def outcomes(branches: list) -> list[ProtocolOutcome]:
-            return [ProtocolOutcome(partial_trace(state, retained), prob, keep, bits)
-                    for bits, state, prob in branches if state is not None]
+    def outcome(point: CarrierAngles, bits: tuple[int, ...], size: int | None = None) -> ProtocolOutcome:
+        basis = MeasurementBasis({f"C{i}": point[i] for i in cfg.interactions}, size=size)
+        block, probs = measure_project(joint, basis, bits)
+        return ProtocolOutcome(partial_trace(block, retained), probs, keep, bits)
 
-        branches = measure_all_outcomes(joint, basis)
-        return outcomes(branches) if rows is None else [outcomes(b) for b in branches]
+    if cfg.outcome != "all":
+        bits = tuple(0 for _ in cfg.interactions) if cfg.outcome == "zeros" else tuple(map(int, cfg.outcome))
+        return outcome(angles, bits, rows)
 
-    bits = (
-        tuple(0 for _ in cfg.interactions)
-        if cfg.outcome == "zeros"
-        else tuple(int(b) for b in cfg.outcome)
-    )
-    block, probs = measure_project(joint, basis, bits)
-    return ProtocolOutcome(partial_trace(block, retained), probs, keep, bits)
+    def branches(point: CarrierAngles) -> list[ProtocolOutcome]:
+        out = []
+        for bits in itertools.product((0, 1), repeat=len(cfg.interactions)):
+            try:
+                out.append(outcome(point, bits))
+            except ZeroProbabilityError:
+                pass
+        return out
+
+    if rows is None:
+        return branches(angles)
+    return [branches({i: (t[r], p[r]) for i, (t, p) in angles.items()}) for r in range(rows)]
 
 
 def _retained_labels(cfg: ProtocolConfig, joint: DensityMatrix) -> list[str]:

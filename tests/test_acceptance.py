@@ -13,7 +13,7 @@ import pytest
 
 from conftest import record_criterion
 from discordnet import experiments as ex
-from discordnet import protocol, search, states
+from discordnet import protocol, search
 from discordnet.channels import correlated_dephasing
 from discordnet.correlations import (
     FAST_BUDGET,

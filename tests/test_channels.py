@@ -12,10 +12,8 @@ from discordnet.channels import (
     ZeroProbabilityError,
     apply_gate,
     apply_kraus,
-    apply_unitary,
     basis_vectors,
     correlated_dephasing,
-    measure_all_outcomes,
     measure_project,
 )
 from discordnet.states import DensityMatrix, partial_trace, purity
@@ -29,21 +27,21 @@ def test_basis_vectors_orthonormal():
         assert abs(np.vdot(v, w)) < 1e-12
 
 
-def test_apply_unitary_preserves_spectrum(rng):
+def test_one_operator_kraus_preserves_spectrum(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = m @ m.conj().T
     rho = DensityMatrix(("A", "B"), rho / np.trace(rho))
     h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    out = apply_unitary(rho, h, ["B"])
+    out = apply_kraus(rho, KrausChannel(("B",), (h,)))
     assert np.allclose(
         np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(rho.matrix), atol=1e-10
     )
 
 
-def test_apply_unitary_rejects_nonunitary():
+def test_one_operator_kraus_rejects_nonunitary():
     rho = states.maximally_mixed(("A",))
     with pytest.raises(ChannelError):
-        apply_unitary(rho, np.array([[1.0, 0.0], [0.0, 2.0]]), ["A"])
+        apply_kraus(rho, KrausChannel(("A",), (np.array([[1.0, 0.0], [0.0, 2.0]]),)))
 
 
 def test_cz_gate_matches_diagonal():
@@ -95,14 +93,6 @@ def test_full_correlated_dephasing_action():
     zz = np.kron(np.diag([1, -1]), np.diag([1, -1])).astype(complex)
     expected = 0.5 * rho.matrix + 0.5 * zz @ rho.matrix @ zz
     assert np.allclose(out.matrix, expected, atol=1e-12)
-
-
-def test_measurement_probabilities_normalize():
-    rho = states.tensor([states.classical_carriers(2), states.plus_memories(1)])
-    basis = MeasurementBasis({"C1": (0.7, 0.2), "C2": (1.9, 4.0)})
-    branches = measure_all_outcomes(rho, basis)
-    assert len(branches) == 4
-    assert abs(sum(prob for _, _, prob in branches) - 1.0) < 1e-12
 
 
 def test_measure_project_pure_outcome():

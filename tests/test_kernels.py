@@ -18,9 +18,7 @@ from discordnet.channels import (
     MeasurementBasis,
     apply_gate,
     apply_kraus,
-    apply_unitary,
     correlated_dephasing,
-    measure_all_outcomes,
     measure_project,
 )
 from discordnet.states import DensityMatrix, DensityStack, StateError, partial_trace
@@ -85,10 +83,10 @@ def pick_labels(rng, n: int, k: int) -> list[str]:
 @pytest.mark.parametrize("kind", ["cz", "ch", "local"])
 def test_apply_gate_matches_dense(rng, n, kind):
     rho = random_state(rng, n)
-    if kind == "local":  # a non-diagonal single-qubit unitary, through apply_unitary
+    if kind == "local":  # a non-diagonal single-qubit unitary: a one-operator channel
         (target,) = pick_labels(rng, n, 1)
         u, labels = random_unitary(rng, 2), [target]
-        out = apply_unitary(rho, u, labels)
+        out = apply_kraus(rho, KrausChannel((target,), (u,)))
     else:
         control, target = pick_labels(rng, n, 2)
         gate = GateSpec(kind=kind, control=control, target=target)
@@ -108,12 +106,13 @@ def test_apply_gate_reversed_label_order(rng):
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
-def test_apply_unitary_diagonal_matches_dense(rng, n):
+def test_diagonal_unitary_kraus_matches_dense(rng, n):
+    # complex phases: the diagonal branch of the conjugation must conjugate d
     rho = random_state(rng, n)
     u = np.diag(np.exp(1j * rng.uniform(0, 2 * math.pi, size=4)))
     for labels in (pick_labels(rng, n, 2), ["b", "a"]):
         full = embed(u, labels, rho.labels)
-        out = apply_unitary(rho, u, labels)
+        out = apply_kraus(rho, KrausChannel(tuple(labels), (u,)))
         assert np.allclose(out.matrix, full @ rho.matrix @ full.conj().T, atol=ATOL)
 
 
@@ -228,33 +227,6 @@ def test_measure_project_block_rows_equal_single_points(rng, n):
     reduced = partial_trace(stack, keep)
     for r in range(k):
         assert np.array_equal(reduced.matrix[r], partial_trace(stack[r], keep).matrix)
-
-
-@pytest.mark.parametrize("pure", [False, True])
-def test_measure_all_outcomes_equals_each_projection(rng, pure):
-    if pure:  # |0><0| on C1: the branches of outcome 1 have zero probability
-        rho = DensityMatrix(("C1", "M1", "C2"), np.kron(np.diag([1.0, 0.0]), np.eye(4) / 4))
-        basis = MeasurementBasis({"C1": (0.0, 0.0), "C2": (1.1, 0.4)})
-    else:
-        rho = DensityMatrix(("C1", "M1", "C2"), random_state(rng, 3).matrix)
-        basis = MeasurementBasis({"C2": (0.7, 2.0), "C1": (2.9, 5.5)})
-    branches = measure_all_outcomes(rho, basis)
-    assert [bits for bits, _, _ in branches] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for bits, state, prob in branches:
-        if pure and bits[0] == 1:
-            assert (state, prob) == (None, 0.0)
-            continue
-        want, want_prob = measure_project(rho, basis, bits)
-        assert np.array_equal(state.matrix, want.matrix) and prob == want_prob
-    # a block gives one branch list per point, each equal to that point's
-    block = MeasurementBasis({lab: ([a[0]] * 2, [a[1]] * 2) for lab, a in basis.angles.items()})
-    per_point = measure_all_outcomes(rho, block)
-    assert len(per_point) == 2
-    for point in per_point:
-        for (bits, state, prob), (want_bits, want, want_prob) in zip(point, branches):
-            assert bits == want_bits and prob == want_prob
-            assert (state is None) == (want is None)
-            assert state is None or np.array_equal(state.matrix, want.matrix)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

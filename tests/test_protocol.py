@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discordnet import protocol, states
-from discordnet.channels import correlated_dephasing
+from discordnet.channels import ZeroProbabilityError, correlated_dephasing
 from discordnet.correlations import FAST_BUDGET, FULL_BUDGET, discord_asym, gqd_min
-from discordnet.states import StateError, fidelity, partial_trace, purity
+from discordnet.states import DensityMatrix, StateError, partial_trace
 
 
 def test_circuit_matches_closed_form_random_angles(rng):
@@ -57,6 +58,37 @@ def test_noiseless_outcome_independence():
         assert abs(b.probability - 0.25) < 1e-12
         values.append(gqd_min(b.final_state, budget=FAST_BUDGET, seed=0).value)
     assert max(values) - min(values) < 1e-7
+
+
+# |00> carriers measured at theta = 0: every outcome with a bit 1 has probability 0
+_ZERO_CARRIERS = DensityMatrix(("C1", "C2"), np.diag([1.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("cfg, present", [
+    (protocol.standard_config([0.7, 1.9], [0.2, 4.0], outcome="all",
+                              memory_noise=correlated_dephasing(0.5, 0.3)), None),
+    (protocol.standard_config([0.9, 0.4, 2.2], [0.3, 1.1, 0.0], outcome="all"), None),
+    (protocol.standard_config([0.0, 0.0], outcome="all", carriers=_ZERO_CARRIERS), [(0, 0)]),
+], ids=["n2-dephased", "n3", "zero-carriers"])
+def test_all_outcomes_are_the_fixed_outcome_branches(cfg, present):
+    # outcome="all" is every fixed-outcome run that does not raise, in binary
+    # order of the bits, bit for bit
+    branches = protocol.run_circuit(cfg)
+    want = []
+    for bits in itertools.product((0, 1), repeat=cfg.n):
+        try:
+            want.append(protocol.run_circuit(replace(cfg, outcome=bits)))
+        except ZeroProbabilityError:
+            pass
+    assert [b.outcome_bits for b in branches] == [w.outcome_bits for w in want]
+    if present is not None:
+        assert [b.outcome_bits for b in branches] == present
+    for got, ref in zip(branches, want):
+        assert np.array_equal(got.final_state.matrix, ref.final_state.matrix)
+        assert got.final_state.labels == ref.final_state.labels
+        assert got.probability == ref.probability
+        assert got.retained_labels == ref.retained_labels
+    assert abs(sum(b.probability for b in branches) - 1.0) < 1e-12
 
 
 def test_retention_rules():
@@ -192,6 +224,8 @@ def test_effective_channel_not_factorizable():
     (protocol.ghz_config(0.3, 0.4), ([0.9, 1.7], [0.5, 0.0])),
     (protocol.standard_config([0.3, 0.4], outcome=(0, 1)), ([0.9, 1.3], [0.2, 0.8])),
     (protocol.standard_config([0.3, 0.4], outcome="all"), ([0.9, 1.3], [0.2, 0.8])),
+    # rows at theta = 0 keep only branch 00, the others all four
+    (protocol.standard_config([0.3, 0.4], outcome="all", carriers=_ZERO_CARRIERS), ([0.0, 0.0], None)),
 ])
 def test_angle_sweep_is_bit_identical_to_run_circuit(cfg, angles):
     def direct(thetas, phis):
