@@ -12,7 +12,8 @@ candidate bases, which is what makes the nested protocol optimizations
 elsewhere in the package tractable: a grid is evaluated in blocks of at most
 ``_BLOCK_ENTRIES`` product-basis entries, and the Nelder-Mead starts of one
 search advance in lockstep, so each simplex step of all starts costs one
-batched call.  A batch row equals the one-point value bit for bit, so the
+batched call; ``_DiscordObjective`` scores both outcomes of all its bases in
+one stacked pass.  A batch row equals the one-point value bit for bit, so the
 lockstep search returns what one scipy Nelder-Mead per start would.
 """
 
@@ -26,10 +27,10 @@ import numpy as np
 
 from .channels import basis_vectors
 from .linalg import EIGENVALUE_FLOOR
-from .search import SearchResult, multistart
+from .search import SearchError, SearchResult, multistart
 from .states import DensityMatrix, StateError, fold_bloch, partial_trace
 
-# Correlation values in (-NEGATIVE_CLAMP, 0) are reported as exactly 0.
+# Correlation values in (-NEGATIVE_CLAMP, 0] are reported as +0.0; lower ones and NaN raise.
 NEGATIVE_CLAMP = 1e-9
 
 # Product-basis entries (points x 4^N) per grid block: bounds the
@@ -37,11 +38,22 @@ NEGATIVE_CLAMP = 1e-9
 _BLOCK_ENTRIES = 2**18
 
 
+def _plogp(p: np.ndarray) -> np.ndarray:
+    """p log2 p of a real array; entries at or below the floor give 1 log2 1 = 0."""
+    safe = np.where(p > EIGENVALUE_FLOOR, p, 1.0)
+    return np.multiply(safe, np.log2(safe), out=safe)
+
+
 def _shannon(p: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shannon entropy in bits along an axis; entries below the floor count 0."""
-    p = np.clip(np.real(p), 0.0, None)
-    safe = np.where(p > EIGENVALUE_FLOOR, p, 1.0)
-    return -np.sum(np.where(p > EIGENVALUE_FLOOR, p * np.log2(safe), 0.0), axis=axis)
+    return -np.sum(_plogp(np.real(p)), axis=axis)
+
+
+def _clamped(value: float) -> float:
+    """``value``, or +0.0 for round-off in (-NEGATIVE_CLAMP, 0]; raises below or on NaN."""
+    if not value >= -NEGATIVE_CLAMP:
+        raise SearchError(f"correlation value {value!r} is not >= -{NEGATIVE_CLAMP}")
+    return value if value > 0.0 else 0.0
 
 
 def entropy(rho: DensityMatrix) -> float:
@@ -61,8 +73,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         return math.inf
     support = w >= EIGENVALUE_FLOOR
     cross = -float(np.sum(diag[support] * np.log2(w[support])))
-    value = cross - entropy(rho)
-    return max(value, 0.0)
+    return _clamped(cross - entropy(rho))
 
 
 # --------------------------------------------------------------------------
@@ -123,7 +134,7 @@ class _GqdObjective:
         psi = cols[:, :, 0, :]  # (B, N, 2)
         p0 = np.real(np.einsum("bjx,jxy,bjy->bj", psi.conj(), self.margs, psi))
         p0 = np.clip(p0, 0.0, 1.0)
-        h_marg = _shannon(np.stack([p0, 1.0 - p0], axis=-1), axis=-1)  # (B, N)
+        h_marg = -(_plogp(p0) + _plogp(1.0 - p0))  # (B, N)
         v = _product_basis(cols)
         probs = np.real(np.einsum("bka,ac,bkc->bk", v.conj(), self.rho.matrix, v))
         h_joint = _shannon(probs, axis=1)
@@ -256,12 +267,7 @@ def gqd_min(
     obj = _GqdObjective(rho)
     res, (thetas, phis) = _basis_search(obj, n, sym_full, max(2, b.nm_starts - 1), b, seed)
     basis = {lab: (float(t), float(p)) for lab, t, p in zip(rho.labels, thetas, phis)}
-    return DiscordResult(
-        value=max(res.value, 0.0),
-        basis=basis,
-        evaluations=obj.evaluations,
-        converged=res.converged,
-    )
+    return DiscordResult(_clamped(res.value), basis, obj.evaluations, res.converged)
 
 
 # --------------------------------------------------------------------------
@@ -270,7 +276,9 @@ def gqd_min(
 
 
 class _DiscordObjective:
-    """Conditional-entropy term of the asymmetric discord, measured qubit last."""
+    """Conditional-entropy term of the asymmetric discord, measured qubit last.
+    ``batch`` scores both outcomes of B bases as one (2B, da, da) stack, then
+    adds the outcome terms in outcome order, as one outcome at a time would."""
 
     def __init__(self, rho: DensityMatrix, measured: str):
         if measured not in rho.labels:
@@ -286,18 +294,17 @@ class _DiscordObjective:
 
     def batch(self, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
         """Objective for angle arrays of shape (B, 1)."""
-        cols = basis_vectors(thetas, phis)[:, 0]  # (B, 2 outcomes, 2)
-        self.evaluations += cols.shape[0]
-        total = np.zeros(cols.shape[0])
-        for outcome in (0, 1):
-            v = cols[:, outcome, :]
-            m = np.einsum("bx,axcy,by->bac", v.conj(), self.r, v)
-            p = np.clip(np.real(np.trace(m, axis1=1, axis2=2)), 0.0, 1.0)
-            vals = np.linalg.eigvalsh((m + np.conj(np.swapaxes(m, 1, 2))) / 2)
-            # p * S(m/p) = H(eigs) - (-p log2 p): expand to avoid dividing by ~0.
-            h_raw = _shannon(vals, axis=1)
-            plogp = np.where(p > EIGENVALUE_FLOOR, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-            total += h_raw + plogp
+        b = np.shape(thetas)[0]
+        self.evaluations += b
+        v = basis_vectors(thetas, phis).reshape(2 * b, 2)  # row 2i + outcome
+        m = np.einsum("bx,axcy,by->bac", v.conj(), self.r, v)
+        p = np.clip(np.real(np.trace(m, axis1=1, axis2=2)), 0.0, 1.0)
+        vals = np.linalg.eigvalsh((m + np.conj(np.swapaxes(m, 1, 2))) / 2)
+        # p * S(m/p) = H(eigs) - (-p log2 p): expand to avoid dividing by ~0.
+        h = (_shannon(vals, axis=1) + _plogp(p)).reshape(b, 2)
+        total = np.zeros(b)
+        total += h[:, 0]
+        total += h[:, 1]
         return total
 
 
@@ -332,10 +339,4 @@ def discord_asym(
     s_b = entropy(partial_trace(rho, [measured]))
     s_ab = entropy(rho)
     cond, angles, evals, ok = conditional_entropy_min(rho, measured, budget, seed)
-    value = max(s_b - s_ab + cond, 0.0)
-    return DiscordResult(
-        value=value,
-        basis={measured: angles},
-        evaluations=evals,
-        converged=ok,
-    )
+    return DiscordResult(_clamped(s_b - s_ab + cond), {measured: angles}, evals, ok)

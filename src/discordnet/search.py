@@ -12,9 +12,9 @@ Every Nelder-Mead runs through ``_nelder_mead``: scipy's non-adaptive,
 unbounded ``_minimize_neldermead`` rewritten as one generator per start,
 advanced in lockstep so that each step evaluates the pending points of all
 starts in one batched objective call.  It takes the same steps in the same
-order, with the same ``maxfev`` cut, so its results are bit-identical to
-``scipy.optimize.minimize(method="Nelder-Mead")`` whenever a batch row equals
-the one-point value.
+order, with the same ``maxfev`` cut and the same ``argsort`` of tied vertices,
+so its results are bit-identical to scipy's ``minimize(method="Nelder-Mead")``
+whenever a batch row equals the one-point value.
 
 Nothing in this module starts a thread or a process.
 """
@@ -143,13 +143,12 @@ def _nelder_mead_start(
     # scipy sorts twice after the initial simplex; argsort is not stable, so
     # the second sort may reorder ties.
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
 
     while nfev < maxfev:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + _RHO) * xbar - _RHO * sim[-1]
@@ -190,10 +189,9 @@ def _nelder_mead_start(
                 if m:
                     fsim[1 : m + 1] = yield sim[1 : m + 1]
                     nfev += m
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return _Simplex(sim[0], np.min(fsim), nfev, nfev < maxfev, (sim, fsim))
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
+    return _Simplex(sim[0], fsim.min(), nfev, nfev < maxfev, (sim, fsim))
 
 
 def _nelder_mead(

@@ -34,6 +34,21 @@ def test_discord_named_state(capsys):
     assert out.startswith("D(")
 
 
+def test_negative_correlation_value_exits_2(capsys, monkeypatch):
+    import numpy as np
+
+    from discordnet import correlations
+    from discordnet.search import SearchResult
+
+    def search(obj, n, grid, top, b, seed):
+        return SearchResult(np.zeros(2 * n), -1e-6, 1, True), (np.zeros(n), np.zeros(n))
+
+    monkeypatch.setattr(correlations, "_basis_search", search)
+    code, out, err = run(["gqd", "--state", "w", "--n", "2", "--inner-budget", "fast"], capsys)
+    assert code == 2 and out == ""
+    assert "SearchError" in err and "-1e-06" in err
+
+
 def test_protocol_run_computational_basis_gives_zero_discord(capsys):
     # theta = 0 measures the carriers in the computational basis: no discord
     code, out, _ = run(

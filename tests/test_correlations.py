@@ -17,6 +17,8 @@ from discordnet.correlations import (
     pinch,
     relative_entropy,
 )
+from discordnet.linalg import EIGENVALUE_FLOOR
+from discordnet.search import SearchError, SearchResult
 from discordnet.states import DensityMatrix, maximally_mixed, partial_trace
 
 # Frozen values computed with an independent dense-loop implementation
@@ -206,6 +208,123 @@ def test_discord_asym_is_bit_exact(i, j, measured):
     unmeasured = "M1" if measured == "M2" else "M2"
     result = discord_asym(rho, unmeasured, measured, budget=FAST_BUDGET, seed=0)
     assert (result.value.hex(), result.evaluations) == PINNED_DISCORD[i, j, measured]
+
+
+# D(rest | measured) at FULL on the N = 3 protocol output of PINNED_GQD: the
+# unmeasured side is two qubits, so each outcome's conditional state is 4 x 4.
+PINNED_DISCORD_N3 = {
+    "M1": ("0x1.84dff3d3d0d60p-3", 1615),
+    "M2": ("0x1.04e51c6d104e0p-4", 1550),
+    "M3": ("0x1.73dfa8357f8d4p-3", 1880),
+}
+
+
+@pytest.mark.parametrize("measured", sorted(PINNED_DISCORD_N3))
+def test_discord_asym_with_two_unmeasured_qubits_is_bit_exact(measured):
+    cfg = protocol.standard_config([0.9, 1.3, 0.6], [0.3, 1.1, 0.0])
+    rho = protocol.run_circuit(cfg).final_state
+    unmeasured = [lab for lab in rho.labels if lab != measured]
+    result = discord_asym(rho, unmeasured, measured, budget=FULL_BUDGET, seed=0)
+    assert (result.value.hex(), result.evaluations) == PINNED_DISCORD_N3[measured]
+
+
+def _shannon_reference(p, axis=-1):
+    """The clip-and-where form of ``correlations._shannon``."""
+    p = np.clip(np.real(p), 0.0, None)
+    safe = np.where(p > EIGENVALUE_FLOOR, p, 1.0)
+    return -np.sum(np.where(p > EIGENVALUE_FLOOR, p * np.log2(safe), 0.0), axis=axis)
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("shape", [(12,), (12, 4), (12, 16), (12, 3, 2)])
+def test_shannon_matches_its_clip_and_where_form(shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    edge = [0.0, -0.0, EIGENVALUE_FLOOR, np.nextafter(EIGENVALUE_FLOOR, 0.0),
+            np.nextafter(EIGENVALUE_FLOOR, 1.0), -1e-17, -1e-13, 1.0, 0.5, 1e-300]
+    p = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    flat = p.reshape(-1)
+    flat[: len(edge)] = edge
+    for q in (p, p.astype(complex)):
+        assert _hex(correlations._shannon(q, axis=-1)) == _hex(_shannon_reference(q, axis=-1))
+    if p.ndim == 2:
+        assert _hex(correlations._shannon(p, axis=1)) == _hex(_shannon_reference(p, axis=1))
+
+
+def test_entropy_matches_the_clip_and_where_form():
+    for rho in (states.bell_mixture(0.3), states.werner_bell(1.0 / 3.0),
+                states.bell_state("phi+").density(), maximally_mixed(("A", "B", "C")),
+                protocol.final_state_closed_form(0.9, 0.6, 0.3, 1.1)):
+        want = _shannon_reference(np.linalg.eigvalsh(rho.matrix))
+        assert entropy(rho).hex() == float(want).hex()
+
+
+def _discord_reference(obj, thetas, phis):
+    """``_DiscordObjective.batch`` scored one outcome at a time."""
+    cols = correlations.basis_vectors(thetas, phis)[:, 0]  # (B, 2 outcomes, 2)
+    total = np.zeros(cols.shape[0])
+    for outcome in (0, 1):
+        v = cols[:, outcome, :]
+        m = np.einsum("bx,axcy,by->bac", v.conj(), obj.r, v)
+        p = np.clip(np.real(np.trace(m, axis1=1, axis2=2)), 0.0, 1.0)
+        vals = np.linalg.eigvalsh((m + np.conj(np.swapaxes(m, 1, 2))) / 2)
+        h_raw = _shannon_reference(vals, axis=1)
+        plogp = np.where(p > EIGENVALUE_FLOOR, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+        total += h_raw + plogp
+    return total
+
+
+def _discord_states():
+    axis = np.linspace(0.0, math.pi, 11)
+    heat = [protocol.final_state_closed_form(axis[i], axis[j]) for i, j in ((1, 3), (5, 5))]
+    n3 = protocol.run_circuit(protocol.standard_config([0.9, 1.3, 0.6], [0.3, 1.1, 0.0]))
+    return heat + [_random_state(2, 4, 5), _random_state(3, 3, 6), n3.final_state]
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 169])
+def test_discord_objective_equals_its_per_outcome_form(size):
+    rng = np.random.default_rng(size)
+    for rho in _discord_states():
+        for measured in (rho.labels[0], rho.labels[-1]):
+            obj = correlations._DiscordObjective(rho, measured)
+            thetas = rng.uniform(-1.0, 4.0, size=(size, 1))
+            phis = rng.uniform(-1.0, 7.0, size=(size, 1))
+            thetas[0, 0], phis[0, 0] = 0.0, 0.0  # a basis with an outcome of p = 0 on |0...0>
+            got = obj.batch(thetas, phis)
+            assert _hex(got) == _hex(_discord_reference(obj, thetas, phis)), (rho.labels, measured)
+            assert obj.evaluations == size
+
+
+def _stub_search(value):
+    def search(obj, n, grid, top, b, seed):
+        return SearchResult(np.zeros(2 * n), value, 1, True), (np.zeros(n), np.zeros(n))
+    return search
+
+
+@pytest.mark.parametrize("raw, want", [(-0.0, "0x0.0p+0"), (-1e-12, "0x0.0p+0"),
+                                       (0.0, "0x0.0p+0"), (1e-12, (1e-12).hex())])
+def test_round_off_below_zero_is_reported_as_plus_zero(monkeypatch, raw, want):
+    monkeypatch.setattr(correlations, "_basis_search", _stub_search(raw))
+    product = DensityMatrix(("A", "B"), np.diag([1.0, 0.0, 0.0, 0.0]))  # S(B) = S(AB) = 0
+    assert gqd_min(product, budget=FAST_BUDGET).value.hex() == want
+    assert discord_asym(product, "A", "B", budget=FAST_BUDGET).value.hex() == want
+
+
+@pytest.mark.parametrize("raw, shown", [(-1e-6, "-1e-06"), (math.nan, "nan")])
+def test_negative_value_beyond_the_clamp_raises(monkeypatch, raw, shown):
+    monkeypatch.setattr(correlations, "_basis_search", _stub_search(raw))
+    product = DensityMatrix(("A", "B"), np.diag([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(SearchError, match=f"value {shown} "):
+        gqd_min(product, budget=FAST_BUDGET)
+    with pytest.raises(SearchError, match=f"value {shown} "):
+        discord_asym(product, "A", "B", budget=FAST_BUDGET)
+
+
+def test_relative_entropy_of_a_state_with_itself_is_plus_zero():
+    for rho in (states.bell_mixture(0.3), maximally_mixed(("A", "B")), states.werner_bell(0.2)):
+        assert math.copysign(1.0, relative_entropy(rho, rho)) == 1.0
 
 
 def _random_state(n, rank, seed):

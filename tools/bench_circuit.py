@@ -24,13 +24,18 @@ alike.  A round times:
 - ``experiments.symmetric_theta_max`` once at N = 5, reporting at the fast
   budget (the outer angle search of the ``scaling`` CLI command);
 - ``experiments.heatmaps(resolution=11)`` once, at its default budget and
-  seed (the grid of the ``heatmap`` CLI command at resolution 11).
+  seed (the grid of the ``heatmap`` CLI command at resolution 11);
+- ``search.multistart`` from 5 fixed starts on a quadratic batch at
+  d = 2, 4 and 10, 20 calls each, which times the lockstep Nelder-Mead
+  driver alone: the objective is one subtraction, square and sum per block,
+  so a sample is one call's wall time per lockstep round (one batched
+  objective call).
 
 The output file records, per checkout, the p50 of the per-call times over all
 rounds together with every sample, the objective evaluations per round of
-each inner-search case, the checkout's commit (``+dirty`` when ``src/`` has
-uncommitted changes) and a sha256 of its ``src/``; with two checkouts it also
-records the first-to-second ratio of each p50.  An ``env`` entry records the
+each inner-search and driver case, the checkout's commit (``+dirty`` when
+``src/`` has uncommitted changes) and a sha256 of its ``src/``; with two
+checkouts it also records the first-to-second ratio of each p50.  An ``env`` entry records the
 interpreter, libraries and machine.
 """
 
@@ -51,8 +56,9 @@ from time import perf_counter
 # Rounds per run, (name, calls per round) of the circuit workloads, the fidelity
 # targets (p, x), the heatmap grid of the inner-search cases, the calls per
 # round of the inner searches on protocol outputs, the size of the timed
-# symmetric angle search and the resolution of the timed heatmap study;
-# fixed so that every checkout is timed alike.
+# symmetric angle search, the resolution of the timed heatmap study, and the
+# dimensions, starts and calls per round of the driver-only case; fixed so
+# that every checkout is timed alike.
 ROUNDS = 5
 CIRCUITS = (("run_circuit_n2_dephasing", 200), ("run_circuit_n3", 40), ("run_circuit_n5", 6))
 FIDELITY_TARGETS = ((0.25, 0.2), (0.5, 0.0), (1.0, 0.2))
@@ -61,6 +67,9 @@ INNER_PROTOCOL = (("gqd_min_n3_reduced", 10), ("gqd_min_n5_reduced", 5),
                   ("gqd_min_n2_full", 2), ("gqd_min_n5_full", 1))
 THETA_MAX_N = 5
 STUDY_RESOLUTION = 11
+DRIVER_DIMENSIONS = (2, 4, 10)
+DRIVER_STARTS = 5
+DRIVER_CALLS = 20
 
 
 def _inner_cases(experiments, protocol, correlations) -> dict:
@@ -96,9 +105,11 @@ def _inner_cases(experiments, protocol, correlations) -> dict:
 
 def child(src: Path) -> dict[str, dict[str, list[float]] | dict[str, int]]:
     """Time every workload in this interpreter; seconds per call, and the
-    objective evaluations of each inner-search case."""
+    objective evaluations of each inner-search and driver case."""
     sys.path.insert(0, str(src / "src"))
-    from discordnet import channels, correlations, experiments, protocol, states
+    import numpy as np
+
+    from discordnet import channels, correlations, experiments, protocol, search, states
 
     configs = {
         "run_circuit_n2_dephasing": protocol.standard_config(
@@ -138,6 +149,23 @@ def child(src: Path) -> dict[str, dict[str, list[float]] | dict[str, int]]:
     t0 = perf_counter()
     experiments.heatmaps(resolution=STUDY_RESOLUTION)
     samples[f"heatmaps_r{STUDY_RESOLUTION}"] = [perf_counter() - t0]
+    for d in DRIVER_DIMENSIONS:
+        name, rounds = f"multistart_quadratic_d{d}_per_round", []
+
+        def quadratic(x: np.ndarray) -> np.ndarray:
+            rounds.append(len(x))
+            return np.sum((x - 0.3) ** 2, axis=1)
+
+        starts = list(np.random.default_rng(d).uniform(-1.0, 1.0, size=(DRIVER_STARTS, d)))
+        search.multistart(quadratic, starts, 1e-7, 1e-10, 400 * d)  # warm-up
+        times = []
+        for _ in range(DRIVER_CALLS):
+            rounds.clear()
+            t0 = perf_counter()
+            result = search.multistart(quadratic, starts, 1e-7, 1e-10, 400 * d)
+            times.append((perf_counter() - t0) / len(rounds))
+        samples[name] = times
+        evaluations[name] = result.evaluations
     return {"times": samples, "evaluations": evaluations}
 
 
