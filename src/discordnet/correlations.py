@@ -69,11 +69,13 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     rho_tilde = u.conj().T @ rho.matrix @ u
     diag = np.clip(np.real(np.diag(rho_tilde)), 0.0, None)
     outside = float(np.sum(diag[w < EIGENVALUE_FLOOR]))
-    if outside > NEGATIVE_CLAMP:
-        return math.inf
     support = w >= EIGENVALUE_FLOOR
     cross = -float(np.sum(diag[support] * np.log2(w[support])))
-    return _clamped(cross - entropy(rho))
+    value = cross - entropy(rho)
+    # Mass outside supp(sigma) is round-off only if tiny and it leaves value >= -clamp.
+    if outside > NEGATIVE_CLAMP or (outside > 0.0 and value < -NEGATIVE_CLAMP):
+        return math.inf
+    return _clamped(value)
 
 
 # --------------------------------------------------------------------------
@@ -276,9 +278,8 @@ def gqd_min(
 
 
 class _DiscordObjective:
-    """Conditional-entropy term of the asymmetric discord, measured qubit last.
-    ``batch`` scores both outcomes of B bases as one (2B, da, da) stack, then
-    adds the outcome terms in outcome order, as one outcome at a time would."""
+    """Conditional-entropy term of the asymmetric discord, measured qubit last;
+    ``batch`` scores both outcomes of B bases as one (2B, da, da) stack."""
 
     def __init__(self, rho: DensityMatrix, measured: str):
         if measured not in rho.labels:

@@ -327,6 +327,17 @@ def test_relative_entropy_of_a_state_with_itself_is_plus_zero():
         assert math.copysign(1.0, relative_entropy(rho, rho)) == 1.0
 
 
+def test_mass_just_outside_the_support_that_drives_the_value_negative_diverges():
+    # 5e-10 outside supp(sigma) passes the support test, but dropping it from
+    # the cross term leaves -S(rho) ~ -1.6e-8: the mass is real, so +inf
+    rho = DensityMatrix(("A",), np.diag([1.0 - 5e-10, 5e-10]))
+    sigma = DensityMatrix(("A",), np.diag([1.0, 0.0]))
+    assert relative_entropy(rho, sigma) == math.inf
+    # mass outside the support that leaves the value above the clamp is round-off
+    tiny = DensityMatrix(("A",), np.diag([1.0 - 1e-13, 1e-13]))
+    assert relative_entropy(tiny, sigma) == 0.0
+
+
 def _random_state(n, rank, seed):
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(2 ** n, rank)) + 1j * rng.normal(size=(2 ** n, rank))

@@ -3,13 +3,13 @@
 Usage, from the root of a checkout:
 
     python tools/bench_perfbench.py --src DIR_A --src DIR_B [--label A --label B]
-        [--workload heatmap ...] [--pairs 10] [--seed 51] [--out BENCH_perfbench.json]
+        [--out BENCH_perfbench.json]
 
 Each ``--src`` is the root of a checkout with its own ``perfbench/`` and
-``src/``.  For every workload and every pair i, both checkouts run
-``perfbench/run.py --workload W --seed SEED+i`` as it stands in that checkout,
-the first checkout first on even pairs and second on odd ones, so that a slow
-phase of the machine hits both alike.  Nothing under ``perfbench/`` is
+``src/``.  For each of the ``WORKLOADS`` and each of the ``PAIRS`` pairs i,
+both checkouts run ``perfbench/run.py --workload W --seed SEED+i`` as it
+stands in that checkout, the first checkout first on even pairs and second on
+odd ones, so that a slow phase of the machine hits both alike.  Nothing under ``perfbench/`` is
 changed; each run writes only that checkout's ``perfbench/out/``.
 
 The output file records the environment, every run (seed, position in its
@@ -31,6 +31,12 @@ import sys
 from pathlib import Path
 
 from bench_circuit import _commit, _source_digest, environment
+
+# The perfbench workloads, the alternating pairs per workload and the first
+# seed; fixed so that every BENCH file compares the same runs.
+WORKLOADS = ("scaling", "heatmap", "fidelity")
+PAIRS = 10
+SEED = 51
 
 
 def run_once(src: Path, workload: str, seed: int) -> dict:
@@ -95,9 +101,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", required=True, type=Path)
     ap.add_argument("--label", action="append", default=None)
-    ap.add_argument("--workload", action="append", default=None)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=51)
     ap.add_argument("--out", type=Path, default=Path("BENCH_perfbench.json"))
     args = ap.parse_args()
     srcs = [src.resolve() for src in args.src]
@@ -107,9 +110,6 @@ def main() -> int:
     for src in srcs:
         if not (src / "perfbench" / "run.py").is_file():
             ap.error(f"no perfbench/run.py under {src}")
-    if args.pairs < 1:
-        ap.error("--pairs must be >= 1")
-    workloads = args.workload or ["scaling", "heatmap", "fidelity"]
     spec = json.loads((srcs[0] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
@@ -117,19 +117,19 @@ def main() -> int:
         "env": environment(),
         "checkouts": {label: {"commit": _commit(src), "source_sha256": _source_digest(src)}
                       for label, src in zip(labels, srcs)},
-        "pairs": args.pairs,
-        "seeds": [args.seed + i for i in range(args.pairs)],
+        "pairs": PAIRS,
+        "seeds": [SEED + i for i in range(PAIRS)],
         "workloads": {},
     }
-    for workload in workloads:
+    for workload in WORKLOADS:
         runs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = list(zip(labels, srcs))
             if i % 2:
                 order.reverse()
             for position, (label, src) in enumerate(order):
-                run = run_once(src, workload, args.seed + i)
-                runs.append({"label": label, "pair": i, "seed": args.seed + i,
+                run = run_once(src, workload, SEED + i)
+                runs.append({"label": label, "pair": i, "seed": SEED + i,
                              "position": position, **run})
                 shown = {k: round(v, 4) for k, v in run.get("metrics", {}).items()}
                 print(workload, i, label, run["correct"], shown, flush=True)
